@@ -8,9 +8,9 @@
 //! `--csv` to emit machine-readable output after the human-readable
 //! table. All experiments run as simrunner campaigns, so every binary
 //! also accepts the parallel-execution flags (`--workers`, `--no-cache`,
-//! `--cold`, `--no-progress`), the executor flags (`--executor
-//! pool|steal`, `--shards N` to coordinate N shard child processes,
-//! `--shard K/N` to run one shard, `--merge-shards N` to merge
+//! `--cold`, `--no-progress`), the sharding flags (`--shards N` to
+//! coordinate N shard child processes, `--shard K/N` to run one shard,
+//! `--merge-shards N` to merge
 //! already-written shard manifests, `--shard-lease-ms N` /
 //! `--shard-restarts N` to tune the coordinator's heartbeat lease and
 //! dead-shard restart budget), caches results under `results/cache/`,
@@ -85,7 +85,7 @@ pub fn timer_churn(engine: EngineConfig, pending: u64, events: u64) -> u64 {
 /// once; the manifest and trace paths (`results/<name>.manifest.json`,
 /// `results/<name>.trace.jsonl`) derive from it, so binaries never thread
 /// their own name through each call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchCli {
     /// Artifact name (manifest/trace file stem under `results/`).
     name: &'static str,
@@ -106,8 +106,6 @@ pub struct BenchCli {
     /// `results/<name>.trace.jsonl`" — resolve it with
     /// [`BenchCli::trace_path`].
     pub trace: Option<PathBuf>,
-    /// Local executor from `--executor pool|steal` (pool when absent).
-    pub steal: bool,
     /// Coordinate N shard child processes (`--shards N`).
     pub shards: Option<usize>,
     /// Run as one shard of a split campaign (`--shard K/N`).
@@ -131,20 +129,7 @@ impl BenchCli {
     pub fn parse(name: &'static str) -> Self {
         let mut o = BenchCli {
             name,
-            quick: false,
-            csv: false,
-            workers: 0,
-            no_cache: false,
-            cold: false,
-            no_progress: false,
-            trace: None,
-            steal: false,
-            shards: None,
-            shard: None,
-            merge_shards: None,
-            shard_lease_ms: None,
-            shard_restarts: None,
-            child_args: Vec::new(),
+            ..BenchCli::default()
         };
         let mut args = std::env::args().skip(1).peekable();
         // Keep every argument a shard child should inherit; the
@@ -181,14 +166,6 @@ impl BenchCli {
                     keep(&mut o, "--cold");
                 }
                 "--no-progress" => o.no_progress = true,
-                "--executor" => match args.next().as_deref() {
-                    Some("pool") => o.steal = false,
-                    Some("steal") => o.steal = true,
-                    other => {
-                        eprintln!("--executor needs pool|steal, got {other:?}");
-                        std::process::exit(2);
-                    }
-                },
                 "--shards" => {
                     o.shards = match args.next().and_then(|v| v.parse().ok()) {
                         Some(0) | None => {
@@ -253,8 +230,8 @@ impl BenchCli {
                     eprintln!(
                         "usage: {name} [--quick] [--csv] [--workers N] [--no-cache] \
                          [--cold] [--no-progress] [--trace [PATH]] \
-                         [--executor pool|steal] [--shards N] [--shard K/N] \
-                         [--merge-shards N] [--shard-lease-ms N] [--shard-restarts N]"
+                         [--shards N] [--shard K/N] [--merge-shards N] \
+                         [--shard-lease-ms N] [--shard-restarts N]"
                     );
                     std::process::exit(0);
                 }
@@ -328,13 +305,19 @@ impl BenchCli {
     /// count, the shared cache under `results/cache/`, progress on
     /// stderr (human output goes to stdout, so redirects stay clean),
     /// flight-recorder dumps under `results/flightrec/` for cells that
-    /// terminally panic or time out, the executor selected by the
-    /// `--executor`/`--shards`/`--shard`/`--merge-shards` flags, and
-    /// `SUSS_*` environment overrides applied last (so a coordinator's
+    /// terminally panic or time out, the engine selected by the
+    /// `--shards`/`--shard`/`--merge-shards` flags, and `SUSS_*`
+    /// environment overrides applied last (so a coordinator's
     /// `SUSS_SHARD=k/N` wins inside shard children;
     /// `SUSS_FLIGHTREC_DIR=` disables the recorder, `SUSS_PROF=1`
-    /// enables per-cell span profiling).
+    /// enables per-cell span profiling). `--no-cache` still outranks
+    /// `SUSS_CACHE_DIR`.
     pub fn runner(&self) -> RunnerOpts {
+        self.runner_with_env(|k| std::env::var(k).ok())
+    }
+
+    /// [`runner`](Self::runner) with the environment read through `get`.
+    fn runner_with_env(&self, get: impl Fn(&str) -> Option<String>) -> RunnerOpts {
         let mut r = RunnerOpts::default().with_workers(self.workers);
         if !self.no_cache {
             r.cache_dir = Some(PathBuf::from("results/cache"));
@@ -356,8 +339,6 @@ impl BenchCli {
             };
         } else if let Some(shards) = self.merge_shards {
             r.executor = ExecSpec::MergeShards { shards };
-        } else if self.steal {
-            r.executor = ExecSpec::WorkStealing;
         }
         if let Some(ms) = self.shard_lease_ms {
             r.shard_lease = (ms > 0).then(|| Duration::from_millis(ms));
@@ -365,7 +346,15 @@ impl BenchCli {
         if let Some(n) = self.shard_restarts {
             r.shard_restarts = n;
         }
-        r.env_overrides()
+        let (mut r, warnings) = r.apply_env(get);
+        for w in warnings {
+            eprintln!("warning: {w}");
+        }
+        // An explicit flag beats the ambient environment.
+        if self.no_cache {
+            r.cache_dir = None;
+        }
+        r
     }
 
     /// Write a campaign manifest to `results/<name>.manifest.json`.
@@ -413,5 +402,23 @@ impl BenchCli {
             print!("{}", table.to_csv());
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_cache_flag_outranks_the_cache_dir_env() {
+        let env = |k: &str| (k == "SUSS_CACHE_DIR").then(|| "/tmp/elsewhere".to_string());
+        let mut cli = BenchCli::default();
+        assert_eq!(
+            cli.runner_with_env(env).cache_dir,
+            Some(PathBuf::from("/tmp/elsewhere")),
+            "without --no-cache the env redirects the cache"
+        );
+        cli.no_cache = true;
+        assert_eq!(cli.runner_with_env(env).cache_dir, None);
     }
 }

@@ -158,10 +158,9 @@ impl FlowGrid {
         self.campaign.is_empty()
     }
 
-    /// Execute every queued cell on the executor selected by `opts`
-    /// (pool by default; work-stealing, shard, or coordinator via
-    /// [`simrunner::ExecSpec`] / the `SUSS_EXECUTOR` and `SUSS_SHARD`
-    /// environment knobs).
+    /// Execute every queued cell on the engine selected by `opts`
+    /// (the pool by default; a shard or the coordinator via
+    /// [`simrunner::ExecSpec`] / the `SUSS_SHARD` environment knob).
     ///
     /// Failure handling follows `opts.on_failure`: under the default
     /// raise policy any terminal cell failure panics with the cell's

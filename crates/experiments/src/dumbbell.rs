@@ -254,7 +254,7 @@ mod tests {
         let flows = vec![
             DumbbellFlow::download(CcKind::Cubic, 30 * MB, SimTime::ZERO),
             DumbbellFlow::download(CcKind::Cubic, 30 * MB, SimTime::ZERO),
-            DumbbellFlow::download(CcKind::CubicSuss, 1 * MB, SimTime::from_secs(3)),
+            DumbbellFlow::download(CcKind::CubicSuss, MB, SimTime::from_secs(3)),
         ];
         let out = run_dumbbell(&cfg, &flows, 2, SimTime::from_secs(120));
         assert!(out.flows[2].fct_secs().is_finite(), "late flow must finish");

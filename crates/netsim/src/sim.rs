@@ -9,7 +9,6 @@
 //! async runtime: virtual time must be decoupled from wall-clock time for
 //! reproducible experiments, and the engine is pure computation.
 
-use crate::capture::{Capture, CaptureEvent, CaptureKind};
 use crate::link::{HalfLink, LinkSpec, LinkStats};
 use crate::packet::{LinkId, NodeId, Packet, PacketMeta, PayloadHandle, PayloadPool};
 use crate::queue::QueueStats;
@@ -254,7 +253,6 @@ struct NetCore {
     agent_epochs: Vec<u32>,
     batched_delivery: bool,
     next_packet_id: u64,
-    capture: Option<Capture>,
     /// Links with time-series scope sampling enabled (usually 0–2 entries;
     /// the hot path pays one `is_empty` check when none are registered).
     scopes: Vec<LinkScopeState>,
@@ -269,23 +267,6 @@ struct NetCore {
     ctr_faults_injected: Counter,
     ctr_link_flaps: Counter,
     gauge_queue_hwm: Gauge,
-}
-
-impl NetCore {
-    fn capture_event(&mut self, link: LinkId, kind: CaptureKind, pkt: &Packet) {
-        if let Some(cap) = &mut self.capture {
-            if cap.wants(link) {
-                cap.record(CaptureEvent {
-                    t: self.now,
-                    link,
-                    kind,
-                    flow: pkt.flow,
-                    size: pkt.size,
-                    packet_id: pkt.id,
-                });
-            }
-        }
-    }
 }
 
 impl NetCore {
@@ -337,10 +318,9 @@ impl NetCore {
             let done = now + rate.tx_time(u64::from(pkt.size));
             hl.transmitting = Some(pkt);
             self.push(done, EventKind::TxDone { link });
-        } else if let Err(dropped) = hl.queue.enqueue(pkt, now) {
+        } else if hl.queue.enqueue(pkt, now).is_err() {
             // Dropped by the qdisc: counted by the queue's own stats.
             self.ctr_queue_drops.inc();
-            self.capture_event(link, CaptureKind::QueueDropped, &dropped);
             return;
         } else {
             let backlog = self.links[link.index()].queue.backlog_bytes();
@@ -432,7 +412,6 @@ impl NetCore {
             // cut, and the queue holds until the restore event drains it.
             hl.stats.flap_lost_pkts += 1;
             self.ctr_faults_injected.inc();
-            self.capture_event(link, CaptureKind::RandomLost, &pkt);
             return;
         }
 
@@ -440,15 +419,7 @@ impl NetCore {
         // The GE chain steps once per transmitted packet, independent of
         // the i.i.d. outcome, so burst statistics match the model exactly.
         let ge_lost = hl.fault_roll_ge();
-        let lost = iid_lost || ge_lost;
-        let kind = if lost {
-            CaptureKind::RandomLost
-        } else {
-            CaptureKind::Transmitted
-        };
-        self.capture_event(link, kind, &pkt);
-        let hl = &mut self.links[link.index()];
-        if lost {
+        if iid_lost || ge_lost {
             if iid_lost {
                 hl.stats.random_lost_pkts += 1;
             } else {
@@ -666,7 +637,6 @@ impl Sim {
                 agent_epochs: Vec::new(),
                 batched_delivery: engine.batched_delivery,
                 next_packet_id: 1,
-                capture: None,
                 scopes: Vec::new(),
                 pool: PayloadPool::new(engine.payload_pooling),
                 ctr_orphan_events,
@@ -845,12 +815,6 @@ impl Sim {
         self.core.links[link.index()].aqm_drops()
     }
 
-    /// Start capturing packet events on the given links (empty = all),
-    /// keeping at most `limit` events. Replaces any previous capture.
-    pub fn enable_capture(&mut self, links: &[LinkId], limit: usize) {
-        self.core.capture = Some(Capture::new(links, limit));
-    }
-
     /// Enable time-series scope sampling on a half-link: every `every`-th
     /// packet completion emits [`ScopeKind::QueueDepth`] and
     /// [`ScopeKind::Utilization`] samples, and every `every`-th accepted
@@ -869,11 +833,6 @@ impl Sim {
             window_bytes: 0,
             sink,
         });
-    }
-
-    /// The active capture, if any.
-    pub fn capture(&self) -> Option<&Capture> {
-        self.core.capture.as_ref()
     }
 
     /// Current backlog (bytes) of a half-link's egress buffer.
@@ -965,7 +924,6 @@ impl Sim {
     /// next [`Sim::step`], dispatch order (and therefore every result)
     /// is byte-identical to unbatched execution.
     fn dispatch_arrive(&mut self, at: SimTime, node: NodeId, link: LinkId, pkt: Packet) {
-        self.core.capture_event(link, CaptureKind::Delivered, &pkt);
         let Some(mut agent) = self.agents[node.index()].take() else {
             // The flow this packet belonged to has been torn down.
             self.core.ctr_orphan_events.inc();
@@ -996,7 +954,6 @@ impl Sim {
                 )) if t == at && n == node && l == link => {
                     self.account_dispatch();
                     self.core.ctr_batched.inc();
-                    self.core.capture_event(l, CaptureKind::Delivered, &p);
                     let mut ctx = Ctx {
                         core: &mut self.core,
                         agent: node,

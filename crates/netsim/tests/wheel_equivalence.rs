@@ -45,9 +45,12 @@ impl Agent for Echo {
     }
 }
 
+/// Timestamped packet ids or timer tokens, in dispatch order.
+type Trace = Vec<(SimTime, u64)>;
+
 /// A jittery, lossy ping-pong mesh: enough concurrent events, RNG draws,
 /// and FIFO clamping to catch any ordering divergence between schedulers.
-fn echo_mesh_trace(engine: EngineConfig) -> (Vec<(SimTime, u64)>, Vec<(SimTime, u64)>) {
+fn echo_mesh_trace(engine: EngineConfig) -> (Trace, Trace) {
     let mut sim = Sim::with_engine(99, engine);
     let a = sim.add_agent(Box::new(Echo::new()));
     let b = sim.add_agent(Box::new(Echo::new()));
@@ -88,7 +91,7 @@ fn wheel_reproduces_heap_dispatch_order() {
 /// The echo mesh again, with every fault family active on the a→b
 /// direction: fault RNG substreams and the reorder/duplication event
 /// churn must replay identically on both schedulers.
-fn faulted_mesh_trace(engine: EngineConfig) -> (Vec<(SimTime, u64)>, Vec<(SimTime, u64)>) {
+fn faulted_mesh_trace(engine: EngineConfig) -> (Trace, Trace) {
     let mut sim = Sim::with_engine(42, engine);
     let a = sim.add_agent(Box::new(Echo::new()));
     let b = sim.add_agent(Box::new(Echo::new()));

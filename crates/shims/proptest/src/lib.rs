@@ -198,16 +198,16 @@ pub mod prop {
 pub mod prelude {
     pub use crate::prop;
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_oneof, proptest, OneOf, Strategy, TestCaseError,
-        TestRng,
+        prop_assert, prop_assert_eq, prop_oneof, proptest, OneOf, Strategy, TestCaseError, TestRng,
     };
 }
 
 /// Assert inside a `proptest!` body; failure aborts the case with context.
 #[macro_export]
 macro_rules! prop_assert {
-    ($cond:expr) => {
-        if !$cond {
+    ($cond:expr) => {{
+        let holds: bool = $cond;
+        if !holds {
             return Err($crate::TestCaseError(format!(
                 "assertion failed: {} at {}:{}",
                 stringify!($cond),
@@ -215,9 +215,10 @@ macro_rules! prop_assert {
                 line!()
             )));
         }
-    };
-    ($cond:expr, $($fmt:tt)+) => {
-        if !$cond {
+    }};
+    ($cond:expr, $($fmt:tt)+) => {{
+        let holds: bool = $cond;
+        if !holds {
             return Err($crate::TestCaseError(format!(
                 "assertion failed: {} ({}) at {}:{}",
                 stringify!($cond),
@@ -226,7 +227,7 @@ macro_rules! prop_assert {
                 line!()
             )));
         }
-    };
+    }};
 }
 
 /// Equality assertion inside a `proptest!` body.

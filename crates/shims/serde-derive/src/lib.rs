@@ -149,14 +149,13 @@ fn parse_named_fields(body: TokenStream) -> Vec<String> {
         // Skip the type: consume until a comma at angle-bracket depth 0.
         let mut angle = 0i32;
         for tt in iter.by_ref() {
-            match tt {
-                TokenTree::Punct(p) => match p.as_char() {
+            if let TokenTree::Punct(p) = tt {
+                match p.as_char() {
                     '<' => angle += 1,
                     '>' => angle -= 1,
                     ',' if angle == 0 => break,
                     _ => {}
-                },
-                _ => {}
+                }
             }
         }
     }
@@ -245,11 +244,7 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
         Shape::NamedStruct(fields) => {
             let pushes: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(\"{f}\".to_string(), ::serde::Serialize::to_json(&self.{f})),"
-                    )
-                })
+                .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_json(&self.{f})),"))
                 .collect();
             format!("::serde::Json::Obj(vec![{pushes}])")
         }

@@ -13,8 +13,14 @@
 //!
 //! * object fields render in declaration order, never sorted or hashed;
 //! * `f64` values render via Rust's shortest-roundtrip `Display`, so
-//!   parse(render(x)) == x bit-for-bit for finite values;
+//!   parse(render(x)) == x bit-for-bit for finite values (except `-0.0`,
+//!   which renders as `0`);
 //! * non-finite floats render as `null` and parse back as NaN.
+//!
+//! Parsing treats its input as untrusted (cache entries and shard
+//! manifests come from disk): it runs in linear time, nests at most
+//! [`MAX_DEPTH`] arrays/objects deep, and answers `None`, never a panic,
+//! on malformed input.
 
 #![forbid(unsafe_code)]
 
@@ -22,6 +28,12 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::fmt::Write as _;
 use std::time::Duration;
+
+/// How deeply arrays and objects may nest in a parsed document. The
+/// repository's own documents nest at most 4 deep; the bound keeps a
+/// hostile document from overflowing the stack, which would abort the
+/// process rather than unwind.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,12 +128,12 @@ impl Json {
         }
     }
 
-    /// Parse a JSON string. Returns `None` on any syntax error or
-    /// trailing garbage.
+    /// Parse a JSON string. Returns `None` on any syntax error, trailing
+    /// garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos == bytes.len() {
             Some(v)
@@ -176,7 +188,8 @@ fn eat(b: &[u8], pos: &mut usize, lit: &str) -> Option<()> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
+/// Parse one value; `depth` is how many more arrays/objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     skip_ws(b, pos);
     match *b.get(*pos)? {
         b'n' => {
@@ -193,6 +206,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
         }
         b'"' => parse_string(b, pos).map(Json::Str),
         b'[' => {
+            let depth = depth.checked_sub(1)?;
             *pos += 1;
             let mut items = Vec::new();
             skip_ws(b, pos);
@@ -201,7 +215,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
                 return Some(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth)?);
                 skip_ws(b, pos);
                 match b.get(*pos)? {
                     b',' => *pos += 1,
@@ -214,6 +228,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
             }
         }
         b'{' => {
+            let depth = depth.checked_sub(1)?;
             *pos += 1;
             let mut fields = Vec::new();
             skip_ws(b, pos);
@@ -229,7 +244,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
                     return None;
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos)? {
@@ -280,11 +295,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                 *pos += 1;
             }
             _ => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                s.push(c);
-                *pos += c.len_utf8();
+                // Consume the run of plain characters up to the next quote
+                // or escape. Both are ASCII, so they never fall inside a
+                // multi-byte character, and the run is valid UTF-8 on its
+                // own; validating just the run keeps parsing linear.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                s.push_str(std::str::from_utf8(&b[start..*pos]).ok()?);
             }
         }
     }
@@ -295,9 +314,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Option<Json> {
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
     if *pos == start {
@@ -483,7 +500,11 @@ impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
         if a.len() != 3 {
             return None;
         }
-        Some((A::from_json(&a[0])?, B::from_json(&a[1])?, C::from_json(&a[2])?))
+        Some((
+            A::from_json(&a[0])?,
+            B::from_json(&a[1])?,
+            C::from_json(&a[2])?,
+        ))
     }
 }
 
@@ -511,9 +532,29 @@ mod tests {
 
     #[test]
     fn roundtrip_scalars() {
-        for x in [0.0f64, 1.5, -2.25, 1e-17, 123456789.123, f64::MAX] {
+        let check = |x: f64| {
             let s = to_string(&x);
-            assert_eq!(from_str::<f64>(&s), Some(x), "f64 {x} via {s}");
+            let back = from_str::<f64>(&s).unwrap_or_else(|| panic!("{s} does not parse"));
+            assert_eq!(back.to_bits(), x.to_bits(), "f64 {x:e} via {s}");
+        };
+        for x in [0.0f64, 1.5, -2.25, 1e-17, 123456789.123, f64::MAX] {
+            check(x);
+        }
+        for x in [f64::MIN_POSITIVE, 5e-324, f64::MIN, -5e-324] {
+            check(x);
+        }
+        // xorshift64 over raw bit patterns: subnormals, huge exponents and
+        // long mantissas alike. Non-finite patterns render as `null` and
+        // `-0.0` as `0`, so those are skipped.
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            let x = f64::from_bits(bits);
+            if x.is_finite() && x.to_bits() != (-0.0f64).to_bits() {
+                check(x);
+            }
         }
         assert_eq!(to_string(&42u64), "42");
         assert_eq!(from_str::<u64>("42"), Some(42));
@@ -548,6 +589,30 @@ mod tests {
         assert_eq!(Json::parse("[1,]"), None);
         assert_eq!(Json::parse("1 2"), None);
         assert_eq!(Json::parse(""), None);
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_some());
+        assert_eq!(Json::parse(&nested("[", "]", MAX_DEPTH + 1)), None);
+        assert_eq!(Json::parse(&nested("{\"a\":", "}", MAX_DEPTH + 1)), None);
+        // Far past any stack: must answer, not abort the process.
+        assert_eq!(Json::parse(&"[".repeat(100_000)), None);
+        assert_eq!(Json::parse(&nested("[", "]", 100_000)), None);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MB of string payload with multi-byte characters and escapes:
+        // re-validating the rest of the document per character (the old
+        // behaviour) would take minutes here.
+        let text = "ab\"cé€😀\n".repeat(400_000);
+        let doc = to_string(&vec![text.clone(), text.clone()]);
+        assert_eq!(
+            from_str::<Vec<String>>(&doc),
+            Some(vec![text.clone(), text])
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! surface ([`RunnerOpts`]) that selects and configures an executor.
 //!
 //! Execution itself lives in [`crate::exec`]: a [`Campaign`] is pure
-//! data, and [`Campaign::run`] hands it to any [`Executor`] — the
-//! deterministic thread pool, the work-stealing local executor, or the
-//! multi-process shard coordinator. All executors commit results by cell
+//! data, and [`Campaign::run`] hands it to the [`Executor`] built from
+//! the options — the deterministic thread pool, a single shard, or the
+//! multi-process shard coordinator. Every engine commits results by cell
 //! index, so the output is byte-identical regardless of worker count,
 //! scheduling, cache state, or sharding.
 
@@ -46,17 +46,13 @@ pub enum FailurePolicy {
     Record,
 }
 
-/// Which executor [`RunnerOpts::executor`] builds.
+/// Which engine the [`Executor`] built by [`RunnerOpts::executor`] runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum ExecSpec {
     /// The deterministic token-tracked thread pool with panic isolation,
     /// bounded retries and watchdogs (the default).
     #[default]
     Pool,
-    /// The work-stealing local executor: workers pull cells from
-    /// per-worker deques and steal from the back of their neighbours'.
-    /// Results still commit in canonical cell order. No watchdog support.
-    WorkStealing,
     /// Run only the cells owned by shard `index` of `total` (round-robin
     /// by cell index) and write a shard manifest next to the campaign's
     /// manifest stem. Set by `SUSS_SHARD=k/N` in shard child processes.
@@ -87,7 +83,7 @@ pub enum ExecSpec {
 }
 
 /// How to execute a campaign: worker counts, caching, resilience,
-/// observability, and which [`Executor`] to build.
+/// observability, and which engine the [`Executor`] runs.
 ///
 /// # Environment knobs
 ///
@@ -109,7 +105,6 @@ pub enum ExecSpec {
 /// | `SUSS_CELL_RETRIES` | panic retry budget per cell |
 /// | `SUSS_PROF` | `0` disables, anything else enables the span profiler |
 /// | `SUSS_FLIGHTREC_DIR` | crash-dump directory (empty disables) |
-/// | `SUSS_EXECUTOR` | `pool` or `steal` |
 /// | `SUSS_SHARD` | `k/N`: run as shard `k` of `N` and exit afterwards |
 /// | `SUSS_SHARD_LEASE_MS` | heartbeat lease on shard children (`0` disables) |
 /// | `SUSS_SHARD_RESTARTS` | dead-shard restart budget before inline reassignment |
@@ -155,7 +150,8 @@ pub struct RunnerOpts {
     pub flightrec_dir: Option<PathBuf>,
     /// What to do when cells fail terminally; see [`FailurePolicy`].
     pub on_failure: FailurePolicy,
-    /// Which executor [`RunnerOpts::executor`] builds.
+    /// Which engine the [`Executor`] built by [`RunnerOpts::executor`]
+    /// runs.
     pub executor: ExecSpec,
     /// Path stem for campaign manifests (shard manifests land at
     /// `<stem>.shard<k>of<N>.manifest.json`, the shard plan at
@@ -166,7 +162,7 @@ pub struct RunnerOpts {
     /// its shard manifest (exit code 0, or 3 when cells failed). Set when
     /// sharding comes from `SUSS_SHARD` — a shard child must not fall
     /// through into the bin's figure rendering on partial results.
-    /// In-process shard executors (tests, the in-process coordinator)
+    /// In-process shard runs (tests, the in-process coordinator)
     /// leave this `false`.
     pub shard_exit: bool,
     /// Heartbeat lease for shard children (coordinator): a shard whose
@@ -292,7 +288,7 @@ impl RunnerOpts {
         self
     }
 
-    /// Select which executor [`RunnerOpts::executor`] builds.
+    /// Select which engine [`RunnerOpts::executor`] runs.
     pub fn with_executor(mut self, spec: ExecSpec) -> Self {
         self.executor = spec;
         self
@@ -391,13 +387,6 @@ impl RunnerOpts {
         }
         if let Some(d) = get("SUSS_FLIGHTREC_DIR") {
             self.flightrec_dir = (!d.is_empty()).then(|| PathBuf::from(d));
-        }
-        if let Some(e) = get("SUSS_EXECUTOR") {
-            match e.as_str() {
-                "pool" => self.executor = ExecSpec::Pool,
-                "steal" => self.executor = ExecSpec::WorkStealing,
-                _ => warn("SUSS_EXECUTOR", &e, "`pool` or `steal`"),
-            }
         }
         if let Some(s) = get("SUSS_SHARD") {
             match parse_shard(&s) {
@@ -563,19 +552,18 @@ impl Campaign {
     /// Each cell is computed solely from its own [`Cell`] (independent
     /// seeding) and results commit by cell index, so the output — and
     /// anything aggregated from it in order — is byte-identical whether
-    /// this runs on 1 worker or 64, work-stealing or statically sharded,
-    /// cold or fully cached, in one process or merged from N shards.
+    /// this runs on 1 worker or 64, cold or fully cached, in one process
+    /// or merged from N shards.
     ///
     /// # Panics
     /// Under [`FailurePolicy::Raise`] (the default), re-raises the first
     /// cell failure (with the cell's label) after the campaign drains —
     /// successful cells are cached by then, so a re-run resumes from the
     /// failure.
-    pub fn run<T, F, E>(&self, exec: &E, f: F) -> CampaignReport<T>
+    pub fn run<T, F>(&self, exec: &Executor, f: F) -> CampaignReport<T>
     where
         T: Serialize + Deserialize + Send + 'static,
         F: Fn(&Cell) -> T + Send + Sync + 'static,
-        E: Executor,
     {
         exec.execute(self, f)
     }
@@ -861,7 +849,6 @@ mod tests {
             ("SUSS_CELL_RETRIES", "2"),
             ("SUSS_PROF", "1"),
             ("SUSS_FLIGHTREC_DIR", "/tmp/frec"),
-            ("SUSS_EXECUTOR", "steal"),
             ("SUSS_SHARD_LEASE_MS", "2000"),
             ("SUSS_SHARD_RESTARTS", "3"),
             ("SUSS_CHAOS_KILL_SHARD", "1:5"),
@@ -877,7 +864,6 @@ mod tests {
         assert_eq!(opts.cell_retries, 2);
         assert!(opts.profile);
         assert_eq!(opts.flightrec_dir.as_deref(), Some(Path::new("/tmp/frec")));
-        assert_eq!(opts.executor, ExecSpec::WorkStealing);
         assert!(!opts.shard_exit);
         assert_eq!(opts.shard_lease, Some(Duration::from_millis(2000)));
         assert_eq!(opts.shard_restarts, 3);
@@ -915,13 +901,12 @@ mod tests {
             ("SUSS_CELL_TIMEOUT_MS", "soon"),
             ("SUSS_STALL_TIMEOUT_MS", "1e3"),
             ("SUSS_CELL_RETRIES", "2.5"),
-            ("SUSS_EXECUTOR", "quantum"),
             ("SUSS_SHARD", "4/4"),
             ("SUSS_SHARD_LEASE_MS", "soonish"),
             ("SUSS_SHARD_RESTARTS", "-1"),
             ("SUSS_CHAOS_KILL_SHARD", "whenever"),
         ]));
-        assert_eq!(warnings.len(), 10, "{warnings:?}");
+        assert_eq!(warnings.len(), 9, "{warnings:?}");
         for w in &warnings {
             assert!(w.starts_with("ignoring SUSS_"), "{w}");
         }

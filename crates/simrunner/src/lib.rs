@@ -8,25 +8,23 @@
 //! * [`Campaign`] expands an experiment into [`Cell`]s — one simulation
 //!   each, identified by a label, a canonical parameter string, and a
 //!   seed;
-//! * [`Campaign::run`] hands the campaign to a pluggable [`Executor`]
-//!   ([`exec`]). Three engines ship: the deterministic token-tracked
-//!   thread pool ([`PoolExecutor`], the default — panic isolation,
-//!   bounded retries, wall-clock and progress-stall watchdogs,
-//!   flight-recorder crash dumps), a work-stealing local executor
-//!   ([`WorkStealingExecutor`], same watchdogs, detached workers), and
-//!   the sharded path
-//!   ([`ShardWorker`] / [`ShardCoordinator`] / [`ShardMerge`]) that
-//!   splits a campaign across processes sharing one cache and merges
-//!   the shard manifests back into a single [`RunManifest`]. The
-//!   coordinator is self-healing: shard children write heartbeat files
-//!   ([`Heartbeat`]) monitored under a stall-aware lease
-//!   ([`LeaseClock`]), a dead shard is restarted with bounded backoff,
-//!   and whatever still has no usable manifest at merge time has its
-//!   remaining cells reassigned inline through the warm shared cache.
-//!   All engines commit results by cell index, so the aggregated output is
-//!   **byte-identical regardless of engine, worker count, scheduling
-//!   order, or shard count** — the core invariant, enforced by
-//!   regression tests;
+//! * [`Campaign::run`] hands the campaign to the [`Executor`] built by
+//!   [`RunnerOpts::executor`] ([`exec`]), which runs the engine the
+//!   options' [`ExecSpec`] selects: the deterministic token-tracked
+//!   thread pool (the default — panic isolation, bounded retries,
+//!   wall-clock and progress-stall watchdogs, flight-recorder crash
+//!   dumps), or the sharded path (a single shard, the coordinator, or a
+//!   merge of written shard manifests) that splits a campaign across
+//!   processes sharing one cache and merges the shard manifests back
+//!   into a single [`RunManifest`]. The coordinator is self-healing:
+//!   shard children write heartbeat files ([`Heartbeat`]) monitored
+//!   under a stall-aware lease ([`LeaseClock`]), a dead shard is
+//!   restarted with bounded backoff, and whatever still has no usable
+//!   manifest at merge time has its remaining cells reassigned inline
+//!   through the warm shared cache. All engines commit results by cell
+//!   index, so the aggregated output is **byte-identical regardless of
+//!   engine, worker count, scheduling order, or shard count** — the core
+//!   invariant, enforced by regression tests;
 //! * failures follow [`FailurePolicy`]: raise on first terminal failure
 //!   (the default) or record — the campaign completes, failed cells
 //!   come back as `None`, and their [`CellStatus`] and terminal error
@@ -92,10 +90,7 @@ pub use cache::{sweep_lru, Cache, CellIdentity, SweepStats};
 pub use campaign::{
     parse_bytes, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
 };
-pub use exec::{
-    BuiltExecutor, Executor, LeaseClock, PoolExecutor, ShardCoordinator, ShardMerge, ShardWorker,
-    WorkStealingExecutor, SHARD_FAILED_EXIT,
-};
+pub use exec::{Executor, LeaseClock, SHARD_FAILED_EXIT};
 pub use manifest::{
     shard_heartbeat_path, shard_manifest_path, CellRecord, CellStatus, FctAnnotation, RunManifest,
     ShardInfo,

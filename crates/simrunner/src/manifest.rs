@@ -151,8 +151,8 @@ pub struct RunManifest {
     pub experiment: String,
     /// Version tag in effect.
     pub version: String,
-    /// Which executor produced this manifest (`pool`, `steal`,
-    /// `shard 0/2`, `merged(2 shards)`, …).
+    /// Which engine produced this manifest (`pool`, `shard 0/2`,
+    /// `coordinator(2 shards)`, `merged(2 shards)`).
     pub executor: String,
     /// The shard slice this manifest covers; `None` for unsharded runs
     /// and for merged manifests.
@@ -720,7 +720,7 @@ mod tests {
         let mut noisy = m.clone();
         noisy.wall_secs = 99.0;
         noisy.workers = 1;
-        noisy.executor = "steal".into();
+        noisy.executor = "coordinator(2 shards)".into();
         noisy.cells[1].wall_ms = 1.0;
         noisy.cells[1].cached = true;
         noisy.cells[1].attempts = 0;
@@ -919,5 +919,52 @@ mod tests {
         assert_eq!(merged.shard_restarts, 2);
         assert_eq!(merged.cells_reassigned, 2);
         assert_eq!(merged.lease_expiries, 1);
+    }
+
+    /// How deeply arrays and objects nest in `j`.
+    fn nesting(j: &serde::Json) -> usize {
+        match j {
+            serde::Json::Arr(a) => 1 + a.iter().map(nesting).max().unwrap_or(0),
+            serde::Json::Obj(o) => 1 + o.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn every_prefix_of_a_real_manifest_is_refused_cleanly() {
+        // A real run exercising every manifest section: span profile,
+        // scope annotations, and a failed cell with a quoted error.
+        let mut c = crate::Campaign::new("prefix", "v1");
+        for seed in 0..3 {
+            c.cell(format!("cell-{seed}"), format!("seed={seed}"), seed);
+        }
+        let opts = crate::RunnerOpts::serial().with_profile().record_failures();
+        let out = c.run(&opts.executor(), |cell| {
+            let _g = simtrace::prof::span("cell/work");
+            simtrace::runtime::add_scope_annotation(ScopeAnnotation {
+                label: format!("scope/{}/queue_depth", cell.label),
+                n: 3,
+                p50: 0.5,
+                p90: 0.75,
+                p99: 1e-300,
+                p999: f64::MAX,
+            });
+            if cell.seed == 2 {
+                panic!("boom \"quoted\" é");
+            }
+            cell.seed as f64 / 3.0
+        });
+        let text = serde::to_string(&out.manifest);
+        let json = serde::Json::parse(&text).expect("the full manifest parses");
+        let depth = nesting(&json);
+        assert!(
+            (3..=4).contains(&depth) && depth < serde::MAX_DEPTH,
+            "a profiled manifest nests {depth} deep"
+        );
+        let back: RunManifest = serde::from_str(&text).expect("decodes");
+        assert_eq!(serde::to_string(&back), text);
+        for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            assert_eq!(serde::Json::parse(&text[..end]), None, "{end}-byte prefix");
+        }
     }
 }

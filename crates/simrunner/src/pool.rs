@@ -84,49 +84,6 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// Per-worker work-stealing deques for the work-stealing executor.
-///
-/// Cells are preloaded round-robin, one deque per worker. A worker pops
-/// its own deque from the front (FIFO over its slice, cache-friendly for
-/// neighbouring cells) and steals from the *back* of a victim's deque,
-/// minimizing contention with the victim's own front pops. The queues
-/// only ever drain after construction, so "every deque empty" is the
-/// termination condition — no condvars needed.
-pub struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Distribute `items` round-robin over `workers` deques (min 1).
-    pub fn new(workers: usize, items: impl IntoIterator<Item = usize>) -> Self {
-        let workers = workers.max(1);
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].push_back(item);
-        }
-        StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Next item for `worker`: its own front, else stolen from the back
-    /// of the first non-empty victim. `None` means all deques are empty —
-    /// every item has been taken.
-    pub fn take(&self, worker: usize) -> Option<usize> {
-        let own = worker % self.queues.len();
-        if let Some(item) = relock(self.queues[own].lock()).pop_front() {
-            return Some(item);
-        }
-        for offset in 1..self.queues.len() {
-            let victim = (own + offset) % self.queues.len();
-            if let Some(item) = relock(self.queues[victim].lock()).pop_back() {
-                return Some(item);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,37 +170,5 @@ mod tests {
         let mut got = drained.into_inner().unwrap();
         got.sort_unstable();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn steal_queues_hand_out_every_item_exactly_once() {
-        let q = StealQueues::new(3, 0..100);
-        let taken = Mutex::new(Vec::new());
-        thread::scope(|s| {
-            for w in 0..3 {
-                let (q, taken) = (&q, &taken);
-                s.spawn(move || {
-                    while let Some(item) = q.take(w) {
-                        taken.lock().unwrap().push(item);
-                    }
-                });
-            }
-        });
-        let mut got = taken.into_inner().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lone_worker_steals_everything_from_idle_peers() {
-        // 4 deques, but only worker 0 ever takes: it must drain its own
-        // slice front-first and everyone else's by stealing.
-        let q = StealQueues::new(4, 0..10);
-        let mut got = Vec::new();
-        while let Some(item) = q.take(0) {
-            got.push(item);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 }

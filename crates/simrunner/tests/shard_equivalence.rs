@@ -7,9 +7,9 @@
 
 use simrunner::{
     read_heartbeat, shard_heartbeat_path, shard_manifest_path, Campaign, CampaignReport, ExecSpec,
-    Executor, Heartbeat, LeaseClock, RunManifest, RunnerOpts, ShardInfo, ShardWorker,
+    Heartbeat, LeaseClock, RunManifest, RunnerOpts, ShardInfo,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// A seed- and parameter-sensitive stand-in simulation with uneven cost.
@@ -58,14 +58,14 @@ fn render(results: &[Option<f64>]) -> String {
         .collect()
 }
 
-fn coordinator_opts(dir: &PathBuf, shards: usize) -> RunnerOpts {
+fn coordinator_opts(dir: &Path, shards: usize) -> RunnerOpts {
     RunnerOpts::serial()
         .with_cache(dir.join("cache"))
         .with_manifest_stem(dir.join("run"))
         .with_executor(ExecSpec::Coordinator { shards, argv: None })
 }
 
-fn run_sharded(c: &Campaign, dir: &PathBuf, shards: usize) -> CampaignReport<f64> {
+fn run_sharded(c: &Campaign, dir: &Path, shards: usize) -> CampaignReport<f64> {
     c.run(&coordinator_opts(dir, shards).executor(), cell_value)
 }
 
@@ -167,12 +167,10 @@ fn killed_shard_is_reassigned_at_merge_time() {
 
     // Phase 1: only shard 0 runs (the "other machine died" scenario) —
     // its results are in the shared cache, its manifest on disk.
-    let worker = ShardWorker {
-        opts: opts.clone(),
-        shard: ShardInfo { index: 0, total: 2 },
-        exit: false,
-    };
-    let half = worker.execute(&c, cell_value);
+    let shard0 = opts
+        .clone()
+        .with_executor(ExecSpec::Shard { index: 0, total: 2 });
+    let half = c.run(&shard0.executor(), cell_value);
     let owned = c.len() / 2;
     assert_eq!(half.manifest.cache_misses, owned);
 

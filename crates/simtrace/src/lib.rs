@@ -12,9 +12,9 @@
 //!   are identical at any worker count.
 //! * [`TraceRecord`] + [`EventSink`] — a common timestamped event schema
 //!   with JSONL ([`JsonlSink`]) and CSV ([`CsvSink`]) exporters. Producers
-//!   (`ConnTrace`, `Capture`) convert their native samples/events into
-//!   records; exporting is opt-in, so the hot path pays nothing when
-//!   tracing is disabled.
+//!   (`ConnTrace`) convert their native samples/events into records;
+//!   exporting is opt-in, so the hot path pays nothing when tracing is
+//!   disabled.
 //! * [`query`] — parse a JSONL trace back and answer the recurring
 //!   questions: a flow's cwnd timeseries, events in a time window, counter
 //!   totals, diffs between two runs. The `suss-trace` CLI bin is a thin

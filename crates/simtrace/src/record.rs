@@ -1,6 +1,6 @@
 //! The common timestamped trace record.
 //!
-//! Every producer (per-ACK connection traces, packet captures, counter
+//! Every producer (per-ACK connection traces, CC decisions, counter
 //! dumps) flattens into one record shape so a single JSONL file can hold
 //! a whole run and one query layer can answer questions about it.
 //! Serialization is hand-written rather than derived so `None` fields are
@@ -27,14 +27,6 @@ pub mod kind {
     pub const SUSS_PACING: &str = "suss_pacing";
     /// Flow finished delivering its payload.
     pub const FLOW_COMPLETE: &str = "flow_complete";
-    /// Packet entered a link (capture).
-    pub const PKT_TX: &str = "pkt_tx";
-    /// Packet delivered by a link (capture).
-    pub const PKT_RX: &str = "pkt_rx";
-    /// Packet dropped by a full queue (capture).
-    pub const PKT_DROP: &str = "pkt_drop";
-    /// Packet lost to random loss injection (capture).
-    pub const PKT_LOST: &str = "pkt_lost";
     /// Counter total at export time; `name`/`value` carry the metric.
     pub const COUNTER: &str = "counter";
     /// Gauge high-water mark at export time; `name`/`value` carry it.
@@ -81,11 +73,11 @@ pub struct TraceRecord {
     pub rtt_ns: Option<u64>,
     /// Smoothed RTT in nanoseconds.
     pub srtt_ns: Option<u64>,
-    /// Link id, for capture records.
+    /// Link id, for per-packet records.
     pub link: Option<u64>,
-    /// Packet size in bytes, for capture records.
+    /// Packet size in bytes, for per-packet records.
     pub size: Option<u64>,
-    /// Packet id, for capture records.
+    /// Packet id, for per-packet records.
     pub packet_id: Option<u64>,
     /// Metric name, for counter/gauge records.
     pub name: Option<String>,

@@ -138,7 +138,7 @@ mod tests {
             t = p.next_send_time(t, 1_500).max(t + 1);
         }
         // Expect ~15_000 B (+1 initial burst).
-        assert!(sent >= 15_000 && sent <= 16_500 + 1_500, "sent {sent}");
+        assert!((15_000..=16_500 + 1_500).contains(&sent), "sent {sent}");
     }
 
     #[test]

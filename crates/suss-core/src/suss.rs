@@ -510,8 +510,10 @@ mod tests {
 
     #[test]
     fn min_cwnd_gate() {
-        let mut cfg = SussConfig::default();
-        cfg.min_cwnd_for_suss = 1_000_000; // enormous: never met
+        let cfg = SussConfig {
+            min_cwnd_for_suss: 1_000_000, // enormous: never met
+            ..SussConfig::default()
+        };
         let mut h = Harness::new(cfg);
         let (plan, _) = h.run_round(MIN_RTT_NS, 100_000, MIN_RTT_NS);
         assert!(plan.is_none(), "below min cwnd SUSS must stay dormant");

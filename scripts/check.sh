@@ -8,6 +8,7 @@ echo "== cargo build --release =="
 cargo build --release
 
 echo "== cargo test -q =="
+# `default-members` in the root Cargo.toml makes this every crate's tests.
 cargo test -q
 
 echo "== suss-trace smoke =="
@@ -196,8 +197,9 @@ cargo run --release -q -p simtrace --bin suss-trace -- \
     bench-diff "$SMOKE_DIR/bench_baseline.json" results/BENCH_hotpath.quick.json \
     --max-slowdown 25
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# Tests, benches and examples are linted too, not just library code.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
