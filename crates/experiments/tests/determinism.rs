@@ -9,6 +9,7 @@
 //! and paste the printed constants.
 
 use cc_algos::CcKind;
+use experiments::fleet::fleet_table;
 use experiments::{run_dumbbell_engine, DumbbellFlow, FlowGrid, FlowGridRun};
 use netsim::{EngineConfig, SimTime};
 use simrunner::RunnerOpts;
@@ -26,7 +27,8 @@ const GOLD_FCT_SECS: [f64; 2] = [0.915681728, 0.915681728];
 
 /// Golden catalogue counter totals merged over both cells. Scheduler- and
 /// pool-internal counters (`net.sched_cascades`, `net.pool_*`) are the
-/// only ones allowed to differ across engines and are deliberately absent.
+/// only ones allowed to differ across engines and live in
+/// [`GOLD_ENGINE_TOTALS`] instead.
 const GOLD_TOTALS: &[(&str, u64)] = &[
     (names::NET_EVENTS, 75378),
     (names::NET_EVENTS_SCHEDULED, 75820),
@@ -37,6 +39,35 @@ const GOLD_TOTALS: &[(&str, u64)] = &[
     (names::TCP_FAST_RETRANSMITS, 16),
     (names::CC_HYSTART_EXITS, 2),
     (names::SUSS_PACING_ROUNDS, 16),
+];
+
+/// Golden totals of the engine-internal counters over both cells under
+/// `EngineConfig::default()` (timer wheel, pooling, batched delivery).
+/// They may differ between engines, but they enter every cell's results
+/// digest, so the production engine's values are pinned on their own.
+const GOLD_ENGINE_TOTALS: &[(&str, u64)] = &[
+    (names::NET_SCHED_CASCADES, 16),
+    (names::NET_SCHED_BATCHED, 0),
+    (names::NET_POOL_HITS, 9836),
+    (names::NET_POOL_MISSES, 2318),
+];
+
+/// Fleet `--quick` size: flows per cell of `ext_fleet --quick`.
+const FLEET_QUICK_FLOWS: u64 = 150;
+
+/// Golden totals over all 18 cells of the fleet `--quick` campaign at
+/// seed base 1 under `EngineConfig::default()`. Its driver pushes new
+/// flows between `run_until` calls, after the wheel's cursor has run
+/// ahead of `now`, so these pin that path too.
+const GOLD_FLEET_QUICK: &[(&str, u64)] = &[
+    (names::NET_EVENTS, 1115757),
+    (names::NET_EVENTS_SCHEDULED, 1132802),
+    (names::NET_SCHED_CASCADES, 12333),
+    (names::NET_SCHED_BATCHED, 49228),
+    (names::NET_POOL_HITS, 149568),
+    (names::NET_POOL_MISSES, 16361),
+    (names::NET_QUEUE_DROPS, 0),
+    (names::FLEET_FLOWS_COMPLETED, 2700),
 ];
 
 /// The fixed cell: four staggered SUSS downloads through a congested
@@ -102,6 +133,13 @@ fn assert_matches_golden(run: &FlowGridRun, what: &str) {
             "{what}: counter {name} diverged from golden"
         );
     }
+    for &(name, want) in GOLD_ENGINE_TOTALS {
+        assert_eq!(
+            totals.get(name).unwrap_or(0),
+            want,
+            "{what}: engine counter {name} diverged from golden"
+        );
+    }
 }
 
 /// The goldens really do come from the seed engine: the binary-heap
@@ -135,6 +173,8 @@ fn heap_baseline_matches_golden() {
 /// The wheel engine reproduces the heap goldens exactly, both on the
 /// serial path and sharded across 4 workers with a fresh cache — the
 /// scheduler-equivalence contract, end to end through the campaign layer.
+/// Its own scheduler and pool counters match [`GOLD_ENGINE_TOTALS`], so a
+/// scheduler change that moves a cascade or a batched delivery fails here.
 #[test]
 fn wheel_reproduces_golden_at_1_and_4_workers() {
     let serial = wheel_grid().run(&RunnerOpts::serial());
@@ -372,6 +412,30 @@ fn cc_events_roundtrip_through_jsonl() {
     }
 }
 
+/// Counter totals of the fleet `--quick` campaign, serially and uncached.
+fn fleet_quick_totals() -> simtrace::CounterSnapshot {
+    let run = fleet_table(FLEET_QUICK_FLOWS, 1, &RunnerOpts::serial());
+    let mut totals = simtrace::CounterSnapshot::default();
+    for r in &run.results {
+        totals.merge(&r.counters);
+    }
+    totals
+}
+
+/// The fleet `--quick` campaign reproduces its golden counters, engine
+/// internals included.
+#[test]
+fn fleet_quick_counters_match_golden() {
+    let totals = fleet_quick_totals();
+    for &(name, want) in GOLD_FLEET_QUICK {
+        assert_eq!(
+            totals.get(name).unwrap_or(0),
+            want,
+            "fleet counter {name} diverged from golden"
+        );
+    }
+}
+
 /// Regeneration helper: prints the constants to paste above.
 #[test]
 #[ignore = "golden generator, run with --ignored --nocapture"]
@@ -386,5 +450,17 @@ fn print_golden() {
     println!("const GOLD_FCT_SECS: [f64; 2] = {fcts:?};");
     for &(name, _) in GOLD_TOTALS {
         println!("({name:?}, {}),", totals.get(name).unwrap_or(0));
+    }
+    for (table, totals) in [
+        (
+            GOLD_ENGINE_TOTALS,
+            wheel_grid().run(&RunnerOpts::serial()).counters_total(),
+        ),
+        (GOLD_FLEET_QUICK, fleet_quick_totals()),
+    ] {
+        println!("--");
+        for &(name, _) in table {
+            println!("({name:?}, {}),", totals.get(name).unwrap_or(0));
+        }
     }
 }

@@ -3,7 +3,6 @@
 use crate::packet::{LinkId, NodeId, Packet};
 use crate::sim::{Agent, Ctx};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// A router that forwards packets toward their destination node over
 /// statically configured egress half-links.
@@ -13,7 +12,9 @@ use std::collections::HashMap;
 /// where the Linux routers are plain forwarders and the bottleneck behaviour
 /// comes from the shaped egress interface.
 pub struct Router {
-    routes: HashMap<NodeId, LinkId>,
+    /// Explicit egress per destination, indexed by [`NodeId::index`]
+    /// (node ids are dense, so this is a table, not a hash map).
+    routes: Vec<Option<LinkId>>,
     default_route: Option<LinkId>,
     /// Packets forwarded.
     pub forwarded: u64,
@@ -25,7 +26,7 @@ impl Router {
     /// Create a router with no routes.
     pub fn new() -> Self {
         Router {
-            routes: HashMap::new(),
+            routes: Vec::new(),
             default_route: None,
             forwarded: 0,
             unroutable: 0,
@@ -34,7 +35,11 @@ impl Router {
 
     /// Route packets destined to `dst` out of `link`.
     pub fn add_route(&mut self, dst: NodeId, link: LinkId) {
-        self.routes.insert(dst, link);
+        let i = dst.index();
+        if i >= self.routes.len() {
+            self.routes.resize(i + 1, None);
+        }
+        self.routes[i] = Some(link);
     }
 
     /// Fallback egress for destinations without an explicit route.
@@ -44,7 +49,11 @@ impl Router {
 
     /// The egress link that would carry a packet to `dst`, if any.
     pub fn route_for(&self, dst: NodeId) -> Option<LinkId> {
-        self.routes.get(&dst).copied().or(self.default_route)
+        self.routes
+            .get(dst.index())
+            .copied()
+            .flatten()
+            .or(self.default_route)
     }
 }
 
@@ -145,6 +154,22 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.agent::<Router>(r).unroutable, 1);
+    }
+
+    #[test]
+    fn explicit_route_beats_default() {
+        let mut router = Router::new();
+        let (near, far) = (NodeId(3), NodeId(9));
+        assert_eq!(router.route_for(near), None);
+        router.set_default_route(LinkId(0));
+        router.add_route(near, LinkId(5));
+        assert_eq!(router.route_for(near), Some(LinkId(5)));
+        // Below and above the highest explicit route: the default.
+        assert_eq!(router.route_for(NodeId(1)), Some(LinkId(0)));
+        assert_eq!(router.route_for(far), Some(LinkId(0)));
+        // A later route replaces an earlier one for the same node.
+        router.add_route(near, LinkId(7));
+        assert_eq!(router.route_for(near), Some(LinkId(7)));
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl EventQueue {
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         match self {
             EventQueue::Heap(h) => h.pop().map(|e| (e.at, e.kind)),
-            EventQueue::Wheel(w) => w.pop().map(|e| (e.at, e.item)),
+            EventQueue::Wheel(w) => w.pop(),
         }
     }
 

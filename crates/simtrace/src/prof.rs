@@ -26,7 +26,7 @@
 //! (whose code creates [`span`] guards), then harvests with [`take`].
 
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -36,7 +36,6 @@ use std::time::Instant;
 pub const UNTRACKED: &str = "(untracked)";
 
 struct ProfState {
-    enabled: bool,
     /// Byte length of `path` before each active span was pushed.
     depths: Vec<usize>,
     /// Current stack path, span names joined by `;`.
@@ -50,7 +49,6 @@ struct ProfState {
 impl ProfState {
     fn new() -> Self {
         ProfState {
-            enabled: false,
             depths: Vec::new(),
             path: String::new(),
             stamp: Instant::now(),
@@ -99,6 +97,10 @@ impl ProfState {
 }
 
 thread_local! {
+    /// Whether profiling is on for this thread. Const-initialised and kept
+    /// apart from [`PROF`], so a disabled [`span`] is one inlined load
+    /// that never touches the `RefCell`.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
     static PROF: RefCell<ProfState> = RefCell::new(ProfState::new());
 }
 
@@ -106,18 +108,16 @@ thread_local! {
 /// stamp so previously elapsed time is not attributed; it does not clear
 /// accumulated spans (use [`take`] for that).
 pub fn set_enabled(on: bool) {
-    PROF.with(|p| {
-        let mut p = p.borrow_mut();
-        p.enabled = on;
-        if on {
-            p.stamp = Instant::now();
-        }
-    });
+    ENABLED.with(|e| e.set(on));
+    if on {
+        PROF.with(|p| p.borrow_mut().stamp = Instant::now());
+    }
 }
 
 /// Whether profiling is currently enabled on this thread.
+#[inline]
 pub fn is_enabled() -> bool {
-    PROF.with(|p| p.borrow().enabled)
+    ENABLED.with(Cell::get)
 }
 
 /// Open a profiling span named `name`. The returned guard closes the span
@@ -128,17 +128,32 @@ pub fn is_enabled() -> bool {
 /// (`"sim/arrive"`, `"cc/on_ack"`) — it becomes part of the span
 /// catalogue rendered by `suss-trace profile`.
 #[must_use = "the span closes when the guard drops"]
+#[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    let active = PROF.with(|p| {
+    let active = is_enabled();
+    if active {
+        enter(name);
+    }
+    SpanGuard { active }
+}
+
+#[cold]
+#[inline(never)]
+fn enter(name: &'static str) {
+    PROF.with(|p| p.borrow_mut().enter(name));
+}
+
+#[cold]
+#[inline(never)]
+fn exit() {
+    PROF.with(|p| {
         let mut p = p.borrow_mut();
-        if p.enabled {
-            p.enter(name);
-            true
-        } else {
-            false
+        // If profiling was force-disabled mid-span, the stack was
+        // already reset by `take`; unwind quietly.
+        if is_enabled() || !p.depths.is_empty() {
+            p.exit();
         }
     });
-    SpanGuard { active }
 }
 
 /// Guard returned by [`span`]; closes the span on drop.
@@ -147,16 +162,10 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
         if self.active {
-            PROF.with(|p| {
-                let mut p = p.borrow_mut();
-                // If profiling was force-disabled mid-span, the stack was
-                // already reset by `take`; unwind quietly.
-                if p.enabled || !p.depths.is_empty() {
-                    p.exit();
-                }
-            });
+            exit();
         }
     }
 }
@@ -168,7 +177,7 @@ impl Drop for SpanGuard {
 pub fn take() -> ProfSnapshot {
     PROF.with(|p| {
         let mut p = p.borrow_mut();
-        if p.enabled {
+        if is_enabled() {
             p.attribute(Instant::now());
         }
         p.depths.clear();
@@ -314,6 +323,80 @@ mod tests {
             "{}",
             snap.coverage_percent()
         );
+    }
+
+    fn calls(snap: &ProfSnapshot, path: &str) -> Option<u64> {
+        snap.spans.iter().find(|s| s.path == path).map(|s| s.calls)
+    }
+
+    fn open_depth() -> usize {
+        PROF.with(|p| p.borrow().depths.len())
+    }
+
+    #[test]
+    fn disabled_guards_stay_inert_when_profiling_turns_on() {
+        let _ = take();
+        set_enabled(true);
+        let outer = span("outer");
+        set_enabled(false);
+        let inert = span("inert");
+        assert_eq!(open_depth(), 1, "a disabled span must not push");
+        set_enabled(true);
+        // Dropping the inert guard with profiling back on must not close
+        // `outer`, which is still open.
+        drop(inert);
+        assert_eq!(open_depth(), 1);
+        drop(outer);
+        assert_eq!(open_depth(), 0);
+        set_enabled(false);
+        let snap = take();
+        assert_eq!(calls(&snap, "outer"), Some(1));
+        assert_eq!(calls(&snap, "outer;inert"), None);
+    }
+
+    #[test]
+    fn reenabling_makes_spans_count_again() {
+        let _ = take();
+        for on in [true, false, true] {
+            set_enabled(on);
+            assert_eq!(is_enabled(), on);
+            let _g = span("s");
+        }
+        set_enabled(false);
+        assert_eq!(calls(&take(), "s"), Some(2));
+    }
+
+    #[test]
+    fn disabling_mid_span_unwinds_on_drop() {
+        let _ = take();
+        set_enabled(true);
+        let outer = span("outer");
+        let inner = span("inner");
+        set_enabled(false);
+        // The open spans still close and pop their path segments.
+        drop(inner);
+        assert_eq!(open_depth(), 1);
+        drop(outer);
+        assert_eq!(open_depth(), 0);
+        let snap = take();
+        assert_eq!(calls(&snap, "outer"), Some(1));
+        assert_eq!(calls(&snap, "outer;inner"), Some(1));
+        assert!(PROF.with(|p| p.borrow().path.is_empty()));
+    }
+
+    #[test]
+    fn take_after_disabling_resets_open_spans_quietly() {
+        let _ = take();
+        set_enabled(true);
+        let g = span("g");
+        set_enabled(false);
+        // `take` harvests the open span and resets the stack; the later
+        // drop finds nothing to close and records nothing.
+        let snap = take();
+        assert_eq!(calls(&snap, "g"), Some(1));
+        assert_eq!(open_depth(), 0);
+        drop(g);
+        assert!(take().is_empty());
     }
 
     #[test]

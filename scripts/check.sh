@@ -183,6 +183,15 @@ ls results/fig17.shard*.heartbeat.json >/dev/null 2>&1 \
 [ -f results/fig17.shardplan.json ] \
     && { echo "shard plan not cleaned up after success" >&2; exit 1; }
 
+# Lint and format run before the host-dependent bench gate below, so
+# they run on every host even where that gate fails.
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# Tests, benches and examples are linted too, not just library code.
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo fmt --check =="
+cargo fmt --check
+
 echo "== perf-regression gate (quick bench vs committed baseline) =="
 # Diff a fresh quick A/B snapshot against the committed baseline; any
 # criterion group more than 25% slower fails the gate.
@@ -196,12 +205,5 @@ scripts/bench_snapshot.sh --quick >/dev/null
 cargo run --release -q -p simtrace --bin suss-trace -- \
     bench-diff "$SMOKE_DIR/bench_baseline.json" results/BENCH_hotpath.quick.json \
     --max-slowdown 25
-
-echo "== cargo clippy --workspace --all-targets -- -D warnings =="
-# Tests, benches and examples are linted too, not just library code.
-cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== cargo fmt --check =="
-cargo fmt --check
 
 echo "All checks passed."
