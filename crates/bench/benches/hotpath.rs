@@ -4,7 +4,7 @@
 use cc_algos::{make_controller, CcKind};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::time::Duration;
-use tcp_sim::cc::AckView;
+use suss_core::cc::AckView;
 
 const MSS: u64 = 1448;
 

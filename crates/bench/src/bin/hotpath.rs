@@ -154,7 +154,7 @@ fn json_escape_free(s: &str) -> &str {
 fn main() {
     let o = BenchCli::parse("BENCH_hotpath");
     let (pairs, size, reps, churn_events) = if o.quick {
-        (12usize, 2 * workload::MB, 2u32, 200_000u64)
+        (12usize, 2 * workload::MB, 5u32, 1_000_000u64)
     } else {
         (24usize, 4 * workload::MB, 5u32, 2_000_000u64)
     };

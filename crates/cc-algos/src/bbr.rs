@@ -14,10 +14,8 @@
 
 use std::collections::VecDeque;
 use std::time::Duration;
-use tcp_sim::cc::{AckView, CongestionControl, LossKind, LossView};
-
-/// Nanoseconds on the transport clock.
-pub type Nanos = u64;
+use suss_core::cc::{AckView, CongestionControl, LossKind, LossView};
+use suss_core::Nanos;
 
 /// 2/ln(2): the STARTUP gain that doubles delivery rate per round.
 pub const STARTUP_GAIN: f64 = 2.885;

@@ -18,9 +18,9 @@
 //! pending or active boost instantly (the boost is a multiplier, never
 //! state written into BBR's model).
 
-use crate::bbr::{Bbr, BbrMode, Nanos};
-use suss_core::{AckEvent, Suss, SussConfig};
-use tcp_sim::cc::{AckView, CcEvent, CongestionControl, LossView};
+use crate::bbr::{Bbr, BbrMode};
+use suss_core::cc::{AckView, CcEvent, CongestionControl, LossView};
+use suss_core::{AckEvent, Nanos, Suss, SussConfig};
 
 /// A scheduled or running boost window.
 #[derive(Debug, Clone, Copy)]
@@ -243,9 +243,9 @@ mod tests {
             b.on_ack(&ack(now, acked, IW + 2 * k * MSS, IW - acked));
         }
         assert!(b.next_timer().is_some());
-        b.on_congestion_event(&tcp_sim::cc::LossView {
+        b.on_congestion_event(&suss_core::cc::LossView {
             now: RTT_NS + 2_000_000,
-            kind: tcp_sim::cc::LossKind::FastRetransmit,
+            kind: suss_core::cc::LossKind::FastRetransmit,
             lost_bytes: MSS,
             inflight: IW,
         });

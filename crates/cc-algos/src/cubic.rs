@@ -3,10 +3,8 @@
 
 use crate::hystart::HyStart;
 use std::time::Duration;
-use tcp_sim::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
-
-/// Nanoseconds on the transport clock.
-pub type Nanos = u64;
+use suss_core::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
+use suss_core::Nanos;
 
 /// RFC 9438 multiplicative-decrease factor.
 pub const BETA: f64 = 0.7;

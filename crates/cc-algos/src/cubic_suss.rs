@@ -15,10 +15,10 @@
 //! * the transport does everything else (ACK clocking happens naturally:
 //!   outside pacing periods `pacing_rate()` is `None`).
 
-use crate::cubic::{CubicCore, Nanos};
+use crate::cubic::CubicCore;
 use std::time::Duration;
-use suss_core::{AckEvent, PacingPlan, Suss, SussConfig};
-use tcp_sim::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
+use suss_core::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
+use suss_core::{AckEvent, Nanos, PacingPlan, Suss, SussConfig};
 
 /// Execution state of an active pacing period.
 #[derive(Debug, Clone, Copy)]

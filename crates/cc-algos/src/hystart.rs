@@ -14,9 +14,7 @@
 //! in `suss-core`.
 
 use std::time::Duration;
-
-/// Nanoseconds on the transport clock.
-pub type Nanos = u64;
+use suss_core::Nanos;
 
 /// Classic HyStart state machine.
 #[derive(Debug, Clone)]

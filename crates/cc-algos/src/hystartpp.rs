@@ -10,10 +10,7 @@
 
 use crate::cubic::CubicCore;
 use std::time::Duration;
-use tcp_sim::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
-
-/// Nanoseconds on the transport clock.
-pub type Nanos = u64;
+use suss_core::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
 
 const MIN_RTT_THRESH: Duration = Duration::from_millis(4);
 const MAX_RTT_THRESH: Duration = Duration::from_millis(16);
@@ -267,6 +264,7 @@ impl CongestionControl for CubicHspp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use suss_core::Nanos;
 
     const MSS: u64 = 1_448;
 

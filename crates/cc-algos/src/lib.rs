@@ -1,7 +1,9 @@
 //! # cc-algos — congestion-control algorithms for the SUSS reproduction
 //!
 //! Every controller the paper's evaluation exercises, implemented against
-//! the `tcp-sim` controller trait (which mirrors userspace QUIC stacks):
+//! the transport-neutral [`CongestionControl`] trait in `suss-core` (which
+//! mirrors userspace QUIC stacks), so the same controllers drive both the
+//! TCP-like and the QUIC-like transport:
 //!
 //! * [`Reno`] — the canonical AIMD baseline,
 //! * [`Cubic`] — RFC 9438 CUBIC with classic HyStart (the paper's
@@ -12,8 +14,9 @@
 //!   related-work alternative,
 //! * [`Bbr`] / [`Bbr2`] — the model-based comparators (BBRv1 semantics and
 //!   a loss-responsive v2-lite),
-//! * [`qcc`] — a quinn-shaped `QuicController` trait plus an adapter
-//!   proving SUSS ports to QUIC-native information.
+//! * [`qcc`] — the quinn-shaped [`QuicAdapter`], which drives any of the
+//!   above from QUIC-native byte counters and times, proving SUSS ports
+//!   to the information a QUIC stack exposes.
 //!
 //! Constructors follow a common shape: `New(iw_bytes, mss)`.
 //!
@@ -45,11 +48,11 @@ pub use cubic::{Cubic, CubicCore};
 pub use cubic_suss::CubicSuss;
 pub use hystart::HyStart;
 pub use hystartpp::{CubicHspp, HystartPP};
-pub use qcc::{make_quic_controller, QuicAdapter, QuicController, QuicRtt};
+pub use qcc::{make_quic_controller, QuicAdapter, QuicRtt};
 pub use reno::Reno;
 
+use suss_core::cc::CongestionControl;
 use suss_core::SussConfig;
-use tcp_sim::cc::CongestionControl;
 
 /// Controller selector for the experiment harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1,7 +1,7 @@
 //! TCP Reno/NewReno congestion control (RFC 5681) — the canonical
 //! loss-based baseline.
 
-use tcp_sim::cc::{AckView, CongestionControl, LossKind, LossView};
+use suss_core::cc::{AckView, CongestionControl, LossKind, LossView};
 
 /// Classic Reno: slow start doubling, AIMD congestion avoidance,
 /// multiplicative decrease by 1/2 on loss.

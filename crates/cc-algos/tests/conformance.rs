@@ -2,8 +2,8 @@
 //!
 //! Every controller in this crate must behave *identically* whether it is
 //! driven through the TCP-shaped [`CongestionControl`] interface
-//! (sequence-space `AckView`s) or the quinn-shaped [`QuicController`]
-//! adapter (byte counts and times only). That equivalence is the paper's
+//! (sequence-space `AckView`s) or the quinn-shaped [`QuicAdapter`]
+//! (byte counts and times only). That equivalence is the paper's
 //! portability claim made executable: SUSS needs nothing from the
 //! transport beyond monotone sent/delivered byte counters and RTT
 //! samples.
@@ -17,9 +17,9 @@
 //! SUSS's per-round growth estimates and pacing starts) must match
 //! record for record.
 
-use cc_algos::{make_controller, make_quic_controller, CcKind, QuicController, QuicRtt};
+use cc_algos::{make_controller, make_quic_controller, CcKind, QuicAdapter, QuicRtt};
 use std::time::Duration;
-use tcp_sim::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
+use suss_core::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
 
 const MSS: u64 = 1_448;
 const IW: u64 = 10 * MSS;
@@ -57,7 +57,7 @@ struct TcpSide {
 /// The QUIC-side harness: the same controller behind
 /// [`make_quic_controller`]'s adapter.
 struct QuicSide {
-    cc: Box<dyn QuicController>,
+    cc: QuicAdapter,
 }
 
 impl TcpSide {
@@ -140,26 +140,26 @@ fn replay(kind: CcKind) -> Outcome {
 
     // Lockstep equality check, run after every callback on both sides.
     let check = |tcp: &mut TcpSide, quic: &mut QuicSide, step: &str| -> u64 {
-        let (wt, wq) = (tcp.cc.cwnd(), quic.cc.window());
+        let (wt, wq) = (tcp.cc.cwnd(), quic.cc.inner().cwnd());
         assert_eq!(wt, wq, "{kind:?} cwnd diverged at {step}");
         assert_eq!(
             tcp.cc.in_slow_start(),
-            quic.cc.in_slow_start(),
+            quic.cc.inner().in_slow_start(),
             "{kind:?} slow-start phase diverged at {step}"
         );
         assert_eq!(
             tcp.cc.ssthresh(),
-            quic.cc.ssthresh(),
+            quic.cc.inner().ssthresh(),
             "{kind:?} ssthresh diverged at {step}"
         );
         assert_eq!(
             tcp.cc.pacing_rate(),
-            quic.cc.pacing_rate(),
+            quic.cc.inner().pacing_rate(),
             "{kind:?} pacing rate diverged at {step}"
         );
         assert_eq!(
             tcp.cc.next_timer(),
-            quic.cc.next_timer(),
+            quic.cc.inner().next_timer(),
             "{kind:?} timer schedule diverged at {step}"
         );
         if let Some(rate) = tcp.cc.pacing_rate() {
@@ -168,7 +168,7 @@ fn replay(kind: CcKind) -> Outcome {
                 "{kind:?} pacing rate {rate} at {step}"
             );
         }
-        assert_eq!(tcp.cc.name(), quic.cc.name());
+        assert_eq!(tcp.cc.name(), quic.cc.inner().name());
         wt
     };
     // Drain both sides' due internal timers (SUSS guard/pacing windows,
@@ -180,11 +180,11 @@ fn replay(kind: CcKind) -> Outcome {
                 break;
             }
             tcp.cc.on_timer(at);
-            quic.cc.on_timer(at);
+            quic.cc.inner_mut().on_timer(at);
             guard += 1;
             assert!(guard < 100_000, "{kind:?} timer storm");
         }
-        assert_eq!(tcp.cc.next_timer(), quic.cc.next_timer());
+        assert_eq!(tcp.cc.next_timer(), quic.cc.inner().next_timer());
     };
 
     // RTT state shared by both harnesses (the transport would own this).
@@ -247,7 +247,7 @@ fn replay(kind: CcKind) -> Outcome {
         }
 
         events_tcp.extend(tcp.cc.take_events());
-        events_quic.extend(quic.cc.take_events());
+        events_quic.extend(quic.cc.inner_mut().take_events());
 
         // Mid-trace: a fast-retransmit loss episode after round 3.
         if round == 3 {
@@ -274,7 +274,7 @@ fn replay(kind: CcKind) -> Outcome {
 
     fire_until(&mut tcp, &mut quic, now + 10 * RTT_NS);
     events_tcp.extend(tcp.cc.take_events());
-    events_quic.extend(quic.cc.take_events());
+    events_quic.extend(quic.cc.inner_mut().take_events());
     assert_eq!(
         events_tcp, events_quic,
         "{kind:?} decision-event streams diverged across transports"

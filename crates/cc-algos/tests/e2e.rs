@@ -4,10 +4,10 @@
 use cc_algos::{make_controller, CcKind};
 use netsim::{Bandwidth, FlowId, LinkSpec, Sim, SimTime};
 use std::time::Duration;
+use suss_core::{CcEvent, TraceEvent};
 use tcp_sim::flow::{install_flow, wire_flow};
 use tcp_sim::receiver::AckPolicy;
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
-use tcp_sim::trace::TraceEvent;
 
 const MSS: u64 = 1448;
 const IW: u64 = 10 * MSS;
@@ -18,7 +18,7 @@ struct RunResult {
     pacings: usize,
     retransmits: u64,
     max_rtt: Option<Duration>,
-    trace: tcp_sim::trace::ConnTrace,
+    trace: suss_core::ConnTrace,
 }
 
 /// One flow over a clean large-BDP path (100 Mbps, 150 ms RTT by default).
@@ -62,7 +62,7 @@ fn run_path(
             .trace
             .events
             .iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::SussPacing { .. }))
+            .filter(|(_, e)| matches!(e, TraceEvent::Cc(CcEvent::SussPacingStarted { .. })))
             .count(),
         retransmits: snd.stats.segs_retransmitted,
         max_rtt: snd.trace.samples.iter().filter_map(|s| s.rtt).max(),

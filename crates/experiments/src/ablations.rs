@@ -192,7 +192,7 @@ pub struct BurstVariant;
 impl BurstVariant {
     /// Build the burst-mode controller: paper SUSS but the pacing window
     /// collapses to an instantaneous cwnd jump.
-    pub fn controller(iw: u64, mss: u64) -> Box<dyn tcp_sim::cc::CongestionControl> {
+    pub fn controller(iw: u64, mss: u64) -> Box<dyn suss_core::cc::CongestionControl> {
         Box::new(BurstSuss {
             inner: CubicSuss::new(iw, mss, SussConfig::default()),
         })
@@ -206,7 +206,7 @@ struct BurstSuss {
     inner: CubicSuss,
 }
 
-impl tcp_sim::cc::CongestionControl for BurstSuss {
+impl suss_core::cc::CongestionControl for BurstSuss {
     fn name(&self) -> &'static str {
         "cubic+suss-burst"
     }
@@ -216,10 +216,10 @@ impl tcp_sim::cc::CongestionControl for BurstSuss {
     fn in_slow_start(&self) -> bool {
         self.inner.in_slow_start()
     }
-    fn on_ack(&mut self, ack: &tcp_sim::cc::AckView) {
+    fn on_ack(&mut self, ack: &suss_core::cc::AckView) {
         self.inner.on_ack(ack)
     }
-    fn on_congestion_event(&mut self, loss: &tcp_sim::cc::LossView) {
+    fn on_congestion_event(&mut self, loss: &suss_core::cc::LossView) {
         self.inner.on_congestion_event(loss)
     }
     fn on_sent(&mut self, now: u64, bytes: u64, snd_nxt: u64) {
@@ -244,7 +244,7 @@ impl tcp_sim::cc::CongestionControl for BurstSuss {
     fn ssthresh(&self) -> Option<u64> {
         self.inner.ssthresh()
     }
-    fn take_events(&mut self) -> Vec<tcp_sim::cc::CcEvent> {
+    fn take_events(&mut self) -> Vec<suss_core::cc::CcEvent> {
         self.inner.take_events()
     }
 }

@@ -43,7 +43,7 @@ pub struct QuicPacingConfig {
     pub scenario: PathScenario,
     /// How the sender spaces departures.
     pub strategy: PacingStrategy,
-    /// Congestion controller, attached via the `QuicController` adapter.
+    /// Congestion controller, attached via the `QuicAdapter`.
     pub cc: CcKind,
     /// Seeded repetitions of the size grid.
     pub iters: u64,

@@ -6,10 +6,10 @@ use cc_algos::CcKind;
 use netsim::{FlowId, Sim, SimTime};
 use simstats::StepSeries;
 use std::time::Duration;
+use suss_core::{CcEvent, ConnTrace, TraceEvent};
 use tcp_sim::flow::{install_flow, wire_flow};
 use tcp_sim::receiver::{AckPolicy, ReceiverEndpoint};
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
-use tcp_sim::trace::{ConnTrace, TraceEvent};
 use workload::PathScenario;
 
 /// Linux-like defaults: MSS 1448 B, IW 10 segments (RFC 6928).
@@ -190,7 +190,7 @@ pub fn run_flow_engine(
             .trace
             .events
             .iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::SussPacing { .. }))
+            .filter(|(_, e)| matches!(e, TraceEvent::Cc(CcEvent::SussPacingStarted { .. })))
             .count(),
         counters: collect_sim_telemetry(&sim),
         trace: snd.trace.clone(),

@@ -325,7 +325,6 @@ fn observability_never_changes_results() {
 #[test]
 fn cc_events_roundtrip_through_jsonl() {
     use simtrace::{kind, EventSink, TraceRecord};
-    use tcp_sim::trace::ConnTrace;
 
     let cfg = DumbbellConfig::fairness(Duration::from_millis(50), 1.0, PAIRS);
     let flows: Vec<DumbbellFlow> = (0..PAIRS)
@@ -341,18 +340,21 @@ fn cc_events_roundtrip_through_jsonl() {
         SimTime::from_secs(60),
         EngineConfig::default(),
     );
-    // The congested SUSS cell exercises the whole decision catalogue
-    // (HyStart exits happen on later-starting flows, so check the union).
-    let kinds: Vec<&'static str> = out
+    // Each flow's trace exported in memory: the records the JSONL path
+    // below must reproduce exactly.
+    let exported: Vec<Vec<TraceRecord>> = out
         .flows
         .iter()
-        .flat_map(|f| {
-            f.trace
-                .events
-                .iter()
-                .map(|(_, e)| ConnTrace::record_kind(e))
+        .enumerate()
+        .map(|(i, f)| {
+            let mut sink = simtrace::VecSink::new();
+            f.trace.export(i as u64 + 1, Some("roundtrip"), &mut sink);
+            sink.records
         })
         .collect();
+    // The congested SUSS cell exercises the whole decision catalogue
+    // (HyStart exits happen on later-starting flows, so check the union).
+    let kinds: Vec<&str> = exported.iter().flatten().map(|r| r.kind.as_str()).collect();
     for want in [
         kind::CC_CWND,
         kind::CC_SSTHRESH,
@@ -363,7 +365,7 @@ fn cc_events_roundtrip_through_jsonl() {
         assert!(kinds.contains(&want), "no {want} event in {kinds:?}");
     }
 
-    for (i, flow) in out.flows.iter().enumerate() {
+    for (i, (flow, expected)) in out.flows.iter().zip(&exported).enumerate() {
         let trace = &flow.trace;
         let id = i as u64 + 1;
         let mut buf = Vec::new();
@@ -373,26 +375,10 @@ fn cc_events_roundtrip_through_jsonl() {
         let text = String::from_utf8(buf).expect("utf8 jsonl");
 
         let parsed = simtrace::query::parse_jsonl(&text).expect("parse back");
-        // Reconstruct what export emitted and demand full fidelity.
-        let mut expected = Vec::new();
-        for s in &trace.samples {
-            let mut rec = TraceRecord::event(s.t.as_nanos(), id, kind::SAMPLE);
-            rec.cwnd = Some(s.cwnd);
-            rec.inflight = Some(s.inflight);
-            rec.delivered = Some(s.delivered);
-            rec.rtt_ns = s.rtt.map(|d| d.as_nanos() as u64);
-            rec.srtt_ns = s.srtt.map(|d| d.as_nanos() as u64);
-            rec.run = Some("roundtrip".into());
-            expected.push(rec);
-        }
-        for (t, e) in &trace.events {
-            let mut rec = TraceRecord::event(t.as_nanos(), id, ConnTrace::record_kind(e));
-            ConnTrace::fill_record(&mut rec, e);
-            rec.run = Some("roundtrip".into());
-            expected.push(rec);
-        }
+        // Every sample and event is exported, and parses back in full.
+        assert_eq!(expected.len(), trace.samples.len() + trace.events.len());
         assert_eq!(parsed.len(), expected.len());
-        assert_eq!(parsed, expected, "JSONL round trip lost information");
+        assert_eq!(&parsed, expected, "JSONL round trip lost information");
 
         // Every CC decision carries its reason code through the round trip.
         for rec in parsed.iter().filter(|r| {

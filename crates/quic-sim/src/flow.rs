@@ -1,9 +1,9 @@
 //! Convenience wiring: install a QUIC sender/receiver pair into a
-//! simulation (the message-oriented twin of `tcp_sim::flow`).
+//! simulation (the message-oriented twin of `tcp-sim`'s `flow` module).
 
 use crate::receiver::QuicReceiver;
 use crate::sender::{QuicConfig, QuicSender};
-use cc_algos::QuicController;
+use cc_algos::QuicAdapter;
 use netsim::{FlowId, LinkId, NodeId, Sim};
 
 /// Handles to an installed QUIC flow's endpoints.
@@ -24,7 +24,7 @@ pub fn install_quic_flow(
     sim: &mut Sim,
     flow: FlowId,
     cfg: QuicConfig,
-    cc: Box<dyn QuicController>,
+    cc: QuicAdapter,
 ) -> QuicFlowEnds {
     let sender = sim.add_agent(Box::new(QuicSender::new(cfg, flow, cc)));
     let receiver = sim.add_agent(Box::new(QuicReceiver::new(flow)));

@@ -1,6 +1,6 @@
 //! QUIC-like packets carried as simulator payloads.
 //!
-//! As in `tcp_sim::segment` there is no wire encoding — the simulator
+//! As in the TCP-like transport there is no wire encoding — the simulator
 //! delivers typed payloads — but on-wire *sizes* model a realistic QUIC
 //! short-header packet over UDP/IPv4, because header bytes occupy
 //! bottleneck queues and serialization time.
@@ -12,10 +12,8 @@
 //! a valid RTT sample (QUIC needs no Karn filter).
 
 use netsim::FlowId;
-use tcp_sim::ranges::ByteRange;
-
-/// Nanoseconds on the transport clock.
-pub type Nanos = u64;
+use suss_core::ranges::ByteRange;
+use suss_core::Nanos;
 
 /// IPv4 (20 B) + UDP (8 B) headers.
 pub const UDP_IP_HEADER_BYTES: u32 = 28;

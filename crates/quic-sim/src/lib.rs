@@ -6,9 +6,9 @@
 //! 1. **Prove SUSS's information requirements.** The paper claims SUSS
 //!    ports to userspace QUIC congestion control. Here every controller
 //!    in `cc-algos` — CUBIC, CUBIC+SUSS, BBR, Reno, HyStart++ — attaches
-//!    through the quinn-shaped [`cc_algos::QuicController`] interface
-//!    only (byte counts and times, no TCP sequence numbers), and drives
-//!    a transport with *no cumulative sequence space at all*.
+//!    through the quinn-shaped [`cc_algos::QuicAdapter`], which feeds it
+//!    byte counts and times only (no TCP sequence numbers), and drives a
+//!    transport with *no cumulative sequence space at all*.
 //! 2. **Reproduce the pacing-strategy matrix.** Real QUIC stacks differ
 //!    in how they *space* departures (per-packet, burst-N, chunked
 //!    interval timers — the "QUIC Steps" comparison), and that choice
@@ -29,10 +29,12 @@
 //! * [`sender`] / [`receiver`] — the endpoint agents; [`flow`] wires a
 //!   pair into a [`netsim::Sim`].
 //!
-//! Telemetry reuses the TCP transport's `ConnTrace` schema and registers
-//! `quic.*` counters in the shared `simtrace` catalogue, so `suss-trace`
-//! tooling, the CC decision trace, and the flight recorder work on both
-//! transports without translation.
+//! This crate does not depend on `tcp-sim`. What the two transports share
+//! — the controller contract, RTT estimator, range sets, pacer and the
+//! [`suss_core::ConnTrace`] schema — lives in `suss-core`. The sender
+//! registers `quic.*` counters in the shared `simtrace` catalogue, so
+//! `suss-trace` tooling, the CC decision trace, and the flight recorder
+//! work on both transports without translation.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

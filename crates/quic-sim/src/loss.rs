@@ -16,9 +16,10 @@
 //! packets themselves are forgotten: a retransmission mints a fresh
 //! packet number, so the detector never tracks the same number twice.
 
-use crate::frames::{Nanos, PktRange};
+use crate::frames::PktRange;
 use std::collections::VecDeque;
-use tcp_sim::ranges::ByteRange;
+use suss_core::ranges::ByteRange;
+use suss_core::Nanos;
 
 /// Packets-reordered threshold (RFC 9002 `kPacketThreshold`).
 pub const PACKET_THRESHOLD: u64 = 3;

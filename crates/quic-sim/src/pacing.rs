@@ -20,13 +20,12 @@
 //!   progress without exceeding the long-run rate.
 //!
 //! Per-packet and burst-N are literally the transport-neutral
-//! [`suss_core::Pacer`] generalized out of `tcp_sim::pacer` with different
-//! burst allowances; chunked quantizes release times onto an interval
-//! grid. A rate of `None` always means unlimited (pure ACK clocking).
+//! [`suss_core::Pacer`] with different burst allowances; chunked
+//! quantizes release times onto an interval grid. A rate of `None` always
+//! means unlimited (pure ACK clocking).
 
-use crate::frames::Nanos;
 use std::time::Duration;
-use suss_core::Pacer;
+use suss_core::{Nanos, Pacer};
 
 /// How departures are spaced once a pacing rate is known.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,11 +7,12 @@
 //! immediate ACK carrying the newest packet-number ranges, matching the
 //! quickack regime the SUSS measurements assume on the TCP side.
 
-use crate::frames::{Nanos, QuicAckPkt, QuicDataPkt, MAX_ACK_RANGES};
+use crate::frames::{QuicAckPkt, QuicDataPkt, MAX_ACK_RANGES};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use simtrace::{names, Counter, Registry};
 use std::any::Any;
-use tcp_sim::ranges::{ByteRange, RangeSet};
+use suss_core::ranges::{ByteRange, RangeSet};
+use suss_core::Nanos;
 
 /// A QUIC-like receiving endpoint for one flow.
 pub struct QuicReceiver {

@@ -16,28 +16,28 @@
 //!   a retransmission timeout — a PTO sends a probe without collapsing
 //!   the window (persistent congestion does that, on the second
 //!   consecutive PTO);
-//! * congestion control attaches exclusively through the quinn-shaped
-//!   [`QuicController`] interface, so every `cc-algos` controller —
-//!   including CUBIC+SUSS — runs unmodified on byte counters and times;
+//! * congestion control attaches through the quinn-shaped
+//!   [`QuicAdapter`], so every `cc-algos` controller — including
+//!   CUBIC+SUSS — runs unmodified on byte counters and times;
 //! * departures always go through a [`QuicPacer`], whose
 //!   [`PacingStrategy`] (per-packet / burst-N / chunked-interval) is the
 //!   variable of the `ext_quic_pacing` matrix. Without a controller rate
 //!   the pacer runs at the quinn-style default `1.25 · cwnd / srtt`.
 
-use crate::frames::{Nanos, QuicAckPkt, QuicDataPkt, STREAM_FRAME_BYTES, UDP_IP_HEADER_BYTES};
+use crate::frames::{
+    QuicAckPkt, QuicDataPkt, SHORT_HEADER_BYTES, STREAM_FRAME_BYTES, UDP_IP_HEADER_BYTES,
+};
 use crate::loss::{loss_delay, LossDetector, SentPacket};
 use crate::pacing::{PacingStrategy, QuicPacer};
-use cc_algos::QuicController;
-use cc_algos::QuicRtt;
+use cc_algos::{QuicAdapter, QuicRtt};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use simtrace::{names, Counter, Registry};
 use std::any::Any;
 use std::time::Duration;
-use tcp_sim::ranges::{ByteRange, RangeSet};
-use tcp_sim::rtt::RttEstimator;
-use tcp_sim::trace::{ConnTrace, TraceEvent, TraceSample};
-
-use crate::frames::SHORT_HEADER_BYTES;
+use suss_core::ranges::{ByteRange, RangeSet};
+use suss_core::rtt::RttEstimator;
+use suss_core::trace::{ConnTrace, TraceEvent, TraceSample};
+use suss_core::Nanos;
 
 /// Timer token kinds (low 3 bits of the token).
 const TK_START: u64 = 0;
@@ -166,13 +166,13 @@ impl QuicFlowStats {
 }
 
 /// A QUIC-like sending endpoint (one stream), pluggable congestion
-/// control via [`QuicController`].
+/// control via [`QuicAdapter`].
 pub struct QuicSender {
     cfg: QuicConfig,
     flow: FlowId,
     peer: Option<NodeId>,
     out: Option<LinkId>,
-    cc: Box<dyn QuicController>,
+    cc: QuicAdapter,
     rtt: RttEstimator,
     pacer: QuicPacer,
     detector: LossDetector,
@@ -217,7 +217,7 @@ impl QuicSender {
     /// Create a sender for `flow` using the given controller. Call
     /// [`set_peer`](Self::set_peer) and [`set_egress`](Self::set_egress)
     /// once the topology is wired (see [`crate::flow::install_quic_flow`]).
-    pub fn new(cfg: QuicConfig, flow: FlowId, cc: Box<dyn QuicController>) -> Self {
+    pub fn new(cfg: QuicConfig, flow: FlowId, cc: QuicAdapter) -> Self {
         let trace = if cfg.trace_sampling {
             ConnTrace::decimated(cfg.trace_decimation)
         } else {
@@ -262,7 +262,7 @@ impl QuicSender {
     /// simulation-wide metric registry.
     pub fn bind_metrics(&mut self, registry: &Registry) {
         self.metrics = Some(QuicMetrics::bind(registry));
-        self.cc.bind_metrics(registry);
+        self.cc.inner_mut().bind_metrics(registry);
     }
 
     /// Wire the egress half-link this endpoint transmits on.
@@ -286,11 +286,6 @@ impl QuicSender {
             tally.set(tally.get() + 1);
         }
         self.completion_tally = Some(tally);
-    }
-
-    /// The congestion controller (for experiment inspection).
-    pub fn cc(&self) -> &dyn QuicController {
-        self.cc.as_ref()
     }
 
     /// The RTT estimator (for experiment inspection).
@@ -334,7 +329,7 @@ impl QuicSender {
     }
 
     fn sync_cc_timer(&mut self, ctx: &mut Ctx<'_>) {
-        let want = self.cc.next_timer().map(SimTime::from_nanos);
+        let want = self.cc.inner().next_timer().map(SimTime::from_nanos);
         if want != self.cc_deadline {
             self.cc_deadline = want;
             if let Some(at) = want {
@@ -363,10 +358,10 @@ impl QuicSender {
         // quinn-style window-derived default once an RTT is known. Before
         // the first sample the pacer stays unlimited — the initial window
         // departs as one burst, as in real handshake-primed stacks.
-        let want = self.cc.pacing_rate().or_else(|| {
+        let want = self.cc.inner().pacing_rate().or_else(|| {
             self.rtt
                 .srtt()
-                .map(|s| 1.25 * self.cc.window() as f64 / s.as_secs_f64().max(1e-9))
+                .map(|s| 1.25 * self.cc.inner().cwnd() as f64 / s.as_secs_f64().max(1e-9))
         });
         if want != self.current_pacing_rate {
             self.current_pacing_rate = want;
@@ -451,7 +446,7 @@ impl QuicSender {
             let len = range.len();
 
             // Window gate: tracked in-flight bytes against the window.
-            if self.detector.bytes_in_flight() + len > self.cc.window() {
+            if self.detector.bytes_in_flight() + len > self.cc.inner().cwnd() {
                 if is_rtx {
                     self.detector.requeue_nak(range);
                 }
@@ -506,7 +501,8 @@ impl QuicSender {
         let lost_bytes: u64 = lost.iter().map(|p| p.range.len()).sum();
         self.stats.loss_events += 1;
         self.recovery_start_pkt = self.next_pkt_num;
-        self.trace_event(now, TraceEvent::FastRetransmit);
+        self.trace
+            .event(self.flow.0, now, TraceEvent::FastRetransmit);
         {
             let _prof = simtrace::prof::span("cc/on_loss");
             self.cc
@@ -531,7 +527,7 @@ impl QuicSender {
         let delay = self.current_loss_delay();
         let out = self.detector.on_ack(&ack.ranges, now_ns, delay);
 
-        let was_slow_start = self.cc.in_slow_start();
+        let was_slow_start = self.cc.inner().in_slow_start();
         self.process_losses(now, &out.lost);
 
         for r in &out.acked_ranges {
@@ -554,7 +550,7 @@ impl QuicSender {
                 &rtt_view,
             );
         }
-        if was_slow_start && !self.cc.in_slow_start() {
+        if was_slow_start && !self.cc.inner().in_slow_start() {
             // A loss-driven exit happens inside process_losses; a
             // transition without new losses is the controller's own
             // (HyStart/SUSS) voluntary exit.
@@ -563,10 +559,11 @@ impl QuicSender {
                     m.hystart_exits.inc();
                 }
             }
-            self.trace_event(
+            self.trace.event(
+                self.flow.0,
                 now,
                 TraceEvent::SlowStartExit {
-                    cwnd: self.cc.window(),
+                    cwnd: self.cc.inner().cwnd(),
                 },
             );
         }
@@ -579,7 +576,7 @@ impl QuicSender {
                 t.set(t.get() + 1);
             }
             self.stats.completed_at = Some(now);
-            self.trace_event(now, TraceEvent::FlowComplete);
+            self.trace.event(self.flow.0, now, TraceEvent::FlowComplete);
             self.disarm_pto();
             self.trace_sample(now);
             self.trace.flush_last();
@@ -609,7 +606,7 @@ impl QuicSender {
         if let Some(m) = &self.metrics {
             m.ptos.inc();
         }
-        self.trace_event(now, TraceEvent::Rto);
+        self.trace.event(self.flow.0, now, TraceEvent::Rto);
         self.rtt.back_off();
         self.pto_count += 1;
         if self.pto_count == 2 {
@@ -658,47 +655,15 @@ impl QuicSender {
     }
 
     fn drain_cc_events(&mut self, now: SimTime) {
-        use tcp_sim::cc::CcEvent;
-        for ev in self.cc.take_events() {
-            let te = match ev {
-                CcEvent::SussPacingStarted { g } => TraceEvent::SussPacing { growth_factor: g },
-                CcEvent::SlowStartExited => continue,
-                CcEvent::CwndChanged { cwnd, reason } => TraceEvent::CcCwnd { cwnd, reason },
-                CcEvent::SsthreshChanged { ssthresh, reason } => {
-                    TraceEvent::CcSsthresh { ssthresh, reason }
-                }
-                CcEvent::PacingRateChanged { rate_bps, reason } => {
-                    TraceEvent::CcPacingRate { rate_bps, reason }
-                }
-                CcEvent::SussRound { round, k } => TraceEvent::SussRound { round, k },
-                CcEvent::HystartPhase { phase, reason } => {
-                    TraceEvent::HystartPhase { phase, reason }
-                }
-            };
-            self.trace_event(now, te);
+        for ev in self.cc.inner_mut().take_events() {
+            self.trace.event(self.flow.0, now, TraceEvent::Cc(ev));
         }
-    }
-
-    /// Record a connection event, mirrored into the thread's flight
-    /// recorder exactly like the TCP sender — post-mortem dumps from
-    /// either transport read identically.
-    fn trace_event(&mut self, now: SimTime, e: TraceEvent) {
-        simtrace::flightrec::record_with(|| {
-            let mut rec = simtrace::TraceRecord::event(
-                now.as_nanos(),
-                self.flow.0,
-                ConnTrace::record_kind(&e),
-            );
-            ConnTrace::fill_record(&mut rec, &e);
-            rec
-        });
-        self.trace.event(now, e);
     }
 
     fn trace_sample(&mut self, now: SimTime) {
         self.trace.sample(TraceSample {
             t: now,
-            cwnd: self.cc.window(),
+            cwnd: self.cc.inner().cwnd(),
             inflight: self.detector.bytes_in_flight(),
             delivered: self.stream_acked.contiguous_end(0),
             rtt: self.rtt.latest(),
@@ -728,7 +693,7 @@ impl Agent for QuicSender {
             TK_START => {
                 let now = ctx.now();
                 self.stats.started_at = Some(now);
-                self.trace_event(now, TraceEvent::FlowStart);
+                self.trace.event(self.flow.0, now, TraceEvent::FlowStart);
                 self.sync_pacing_rate(now);
                 self.try_send(ctx);
                 self.sync_cc_timer(ctx);
@@ -742,7 +707,7 @@ impl Agent for QuicSender {
             }
             TK_CC if gen == self.cc_gen && !self.done => {
                 self.cc_deadline = None;
-                self.cc.on_timer(ctx.now().as_nanos());
+                self.cc.inner_mut().on_timer(ctx.now().as_nanos());
                 self.drain_cc_events(ctx.now());
                 self.sync_pacing_rate(ctx.now());
                 self.try_send(ctx);

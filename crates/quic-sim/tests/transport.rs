@@ -1,6 +1,6 @@
 //! End-to-end transport tests: the QUIC endpoints complete flows on the
 //! netsim engine, under every `cc-algos` controller through the
-//! `QuicController` adapter (the adapter round-trip), with working loss
+//! `QuicAdapter` (the adapter round-trip), with working loss
 //! recovery, SUSS acceleration, and deterministic results.
 
 use cc_algos::{make_quic_controller, CcKind};
@@ -9,6 +9,7 @@ use quic_sim::{
     install_quic_flow, wire_quic_flow, PacingStrategy, QuicConfig, QuicReceiver, QuicSender,
 };
 use std::time::Duration;
+use suss_core::{CcEvent, TraceEvent};
 
 const MSS: u64 = 1_448;
 const IW: u64 = 10 * MSS;
@@ -72,7 +73,7 @@ fn run_quic(
             .trace
             .events
             .iter()
-            .filter(|(_, e)| matches!(e, tcp_sim::trace::TraceEvent::SussPacing { .. }))
+            .filter(|(_, e)| matches!(e, TraceEvent::Cc(CcEvent::SussPacingStarted { .. })))
             .count(),
         counters: sim.metrics().snapshot(),
     }
@@ -81,7 +82,7 @@ fn run_quic(
 #[test]
 fn every_controller_completes_a_clean_flow() {
     // The adapter round-trip: each cc-algos controller drives the QUIC
-    // transport end to end through `QuicController` alone.
+    // transport end to end through `QuicAdapter` alone.
     for kind in [
         CcKind::Reno,
         CcKind::Cubic,

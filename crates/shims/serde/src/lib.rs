@@ -357,13 +357,15 @@ macro_rules! impl_int {
             }
         }
         impl Deserialize for $t {
+            /// An integral number within the type's range; anything else
+            /// (fractions, out-of-range or non-finite values) is refused
+            /// rather than saturated. `MAX as f64 + 1.0` is the exclusive
+            /// upper bound: exact for narrow types, and for 64-bit types
+            /// it rounds to the power of two just past `MAX`.
             fn from_json(v: &Json) -> Option<Self> {
                 let x = v.as_f64()?;
-                if x.is_finite() && x == x.trunc() {
-                    Some(x as $t)
-                } else {
-                    None
-                }
+                let in_range = x >= <$t>::MIN as f64 && x < <$t>::MAX as f64 + 1.0;
+                (in_range && x == x.trunc()).then_some(x as $t)
             }
         }
     )*};
@@ -623,5 +625,149 @@ mod tests {
         ]);
         assert_eq!(j.render(), "{\"z\":1,\"a\":2}");
         assert_eq!(Json::parse(&j.render()), Some(j));
+    }
+
+    #[test]
+    fn integers_out_of_range_are_refused_not_saturated() {
+        // A hostile cache entry or manifest must not decode `-1` as 0,
+        // `300` as 255, or `1e30` as `u64::MAX`.
+        assert_eq!(from_str::<u64>("-1"), None);
+        assert_eq!(from_str::<u8>("300"), None);
+        assert_eq!(from_str::<u64>("1e30"), None);
+        assert_eq!(from_str::<u8>("256"), None);
+        assert_eq!(from_str::<i8>("-129"), None);
+        assert_eq!(from_str::<u32>("4294967296"), None);
+        // 2^64 and 2^63 are one past u64::MAX and i64::MAX.
+        assert_eq!(from_str::<u64>("18446744073709551616"), None);
+        assert_eq!(from_str::<i64>("9223372036854775808"), None);
+        assert_eq!(from_str::<u64>("1.5"), None);
+        assert_eq!(from_str::<u64>("1e999999"), None);
+        // The edges of each range still decode.
+        assert_eq!(from_str::<u8>("255"), Some(255));
+        assert_eq!(from_str::<u8>("0"), Some(0));
+        assert_eq!(from_str::<u8>("-0"), Some(0));
+        assert_eq!(from_str::<i8>("-128"), Some(-128));
+        assert_eq!(from_str::<u32>("4294967295"), Some(u32::MAX));
+        assert_eq!(from_str::<i64>("-9223372036854775808"), Some(i64::MIN));
+        assert_eq!(from_str::<u64>("9007199254740992"), Some(1 << 53));
+        assert_eq!(from_str::<usize>("42"), Some(42));
+    }
+
+    /// A deterministic xorshift64 stream for the generated-input tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn random_string(rng: &mut Rng) -> String {
+        const PICKS: [char; 12] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\u{1}', '\u{1f}', 'é', '😀',
+        ];
+        (0..rng.below(8))
+            .map(|_| match rng.below(3) {
+                0 => PICKS[rng.below(PICKS.len() as u64) as usize],
+                // Any scalar value outside the surrogate gap.
+                _ => char::from_u32(rng.below(0xD800) as u32).unwrap(),
+            })
+            .collect()
+    }
+
+    fn random_json(rng: &mut Rng, depth: u32) -> Json {
+        let leaf_only = depth == 0;
+        match rng.below(if leaf_only { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            // Raw bit patterns: integers, fractions, subnormals, huge
+            // exponents, infinities and NaNs alike.
+            2 => Json::Num(match rng.below(3) {
+                0 => rng.below(1 << 20) as f64 - (1 << 19) as f64,
+                _ => f64::from_bits(rng.next()),
+            }),
+            3 => Json::Str(random_string(rng)),
+            4 => Json::Arr(
+                (0..rng.below(5))
+                    .map(|_| random_json(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (random_string(rng), random_json(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// What a tree reads back as: non-finite numbers render as `null`.
+    fn rendered_form(v: &Json) -> Json {
+        match v {
+            Json::Num(x) if !x.is_finite() => Json::Null,
+            Json::Arr(a) => Json::Arr(a.iter().map(rendered_form).collect()),
+            Json::Obj(o) => Json::Obj(
+                o.iter()
+                    .map(|(k, v)| (k.clone(), rendered_form(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn random_trees_survive_render_then_parse() {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        for _ in 0..2_000 {
+            let tree = random_json(&mut rng, 5);
+            let text = tree.render();
+            let back =
+                Json::parse(&text).unwrap_or_else(|| panic!("render emitted invalid JSON: {text}"));
+            // `Json`'s equality compares numbers as f64, so `-0.0` (which
+            // renders as `0`) still compares equal.
+            assert_eq!(back, rendered_form(&tree), "via {text}");
+            // Rendering is a fixed point after one round trip.
+            assert_eq!(back.render(), text);
+        }
+    }
+
+    #[test]
+    fn hostile_numbers_parse_or_refuse_without_panic() {
+        let digits = "1".repeat(10_000);
+        let fraction = format!("0.{digits}");
+        let cases: [(&str, Option<Json>); 8] = [
+            // Overflowing exponents saturate to infinities, which render
+            // back as `null`.
+            ("1e999999", Some(Json::Num(f64::INFINITY))),
+            ("-1e999999", Some(Json::Num(f64::NEG_INFINITY))),
+            // Underflow rounds to zero.
+            ("1e-400", Some(Json::Num(0.0))),
+            ("-0", Some(Json::Num(-0.0))),
+            (&digits, Some(Json::Num(f64::INFINITY))),
+            (&fraction, Some(Json::Num(1.0 / 9.0))),
+            ("1e", None),
+            ("--1", None),
+        ];
+        for (text, want) in cases {
+            let got = Json::parse(text);
+            assert_eq!(got, want, "{}", &text[..text.len().min(24)]);
+            if let Some(v) = got {
+                // Whatever was accepted must render as valid JSON again.
+                let rendered = v.render();
+                assert!(Json::parse(&rendered).is_some(), "rendered {rendered}");
+            }
+        }
+        assert_eq!(Json::parse("-0").unwrap().render(), "0");
+        assert_eq!(Json::parse("1e999999").unwrap().render(), "null");
+        assert_eq!(
+            Json::parse(&format!("[{digits}]")).unwrap().render(),
+            "[null]"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! suss-trace diff <a.jsonl> <b.jsonl>
 //! suss-trace verify <trace.jsonl>
 //! suss-trace profile <manifest.json> [--collapse] [--min-coverage PCT]
-//! suss-trace bench-diff <baseline.json> <fresh.json> [--max-slowdown PCT]
+//! suss-trace bench-diff <baseline.json>... <fresh.json>... [--max-slowdown PCT]
 //! suss-trace cache-stats [--dir results/cache]
 //! ```
 //!
@@ -19,9 +19,10 @@
 //! smoke check); `profile` renders the span profile embedded in a run
 //! manifest (`--collapse` emits collapsed-stack lines for flamegraph
 //! tools, `--min-coverage` turns the named-span coverage into a CI
-//! gate); `bench-diff` compares the `events_per_sec` groups of two
-//! `BENCH_hotpath` snapshots and exits non-zero on a slowdown beyond
-//! the budget; `cache-stats` reports size/age of the simrunner result
+//! gate); `bench-diff` compares the `events_per_sec` groups of
+//! `BENCH_hotpath` snapshots — the first half of the files are baseline
+//! runs, the second half fresh runs, compared by per-group median — and
+//! exits non-zero on a slowdown beyond the budget; `cache-stats` reports size/age of the simrunner result
 //! cache.
 
 use std::io::Write as _;
@@ -38,7 +39,7 @@ fn usage() -> ExitCode {
          \x20      suss-trace diff <a.jsonl> <b.jsonl>\n\
          \x20      suss-trace verify <trace.jsonl>\n\
          \x20      suss-trace profile <manifest.json> [--collapse] [--min-coverage PCT]\n\
-         \x20      suss-trace bench-diff <baseline.json> <fresh.json> [--max-slowdown PCT]\n\
+         \x20      suss-trace bench-diff <baseline.json>... <fresh.json>... [--max-slowdown PCT]\n\
          \x20      suss-trace cache-stats [--dir results/cache]"
     );
     ExitCode::from(2)
@@ -391,11 +392,22 @@ fn collect_rates(json: &serde::Json, prefix: &str, out: &mut Vec<(String, f64)>)
     }
 }
 
-fn cmd_bench_diff(o: &Opts) -> ExitCode {
-    let [base_path, fresh_path] = o.files.as_slice() else {
-        return usage();
-    };
-    let load_rates = |p: &Path| -> Result<Vec<(String, f64)>, ExitCode> {
+/// The median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// Per-group medians of one side's snapshots, in the first file's group
+/// order. Every file must carry the same groups.
+fn median_rates(paths: &[PathBuf]) -> Result<Vec<(String, f64)>, ExitCode> {
+    let mut runs = Vec::new();
+    for p in paths {
         let text = std::fs::read_to_string(p).map_err(|e| {
             eprintln!("suss-trace: {}: {e}", p.display());
             ExitCode::FAILURE
@@ -410,23 +422,49 @@ fn cmd_bench_diff(o: &Opts) -> ExitCode {
             eprintln!("suss-trace: {} has no events_per_sec groups", p.display());
             return Err(ExitCode::FAILURE);
         }
-        Ok(rates)
-    };
-    let (base, fresh) = match (load_rates(base_path), load_rates(fresh_path)) {
+        runs.push(rates);
+    }
+    let mut out = Vec::new();
+    for (name, _) in &runs[0] {
+        let mut xs = Vec::new();
+        for (run, p) in runs.iter().zip(paths) {
+            let Some((_, x)) = run.iter().find(|(n, _)| n == name) else {
+                eprintln!("suss-trace: group '{name}' missing from {}", p.display());
+                return Err(ExitCode::FAILURE);
+            };
+            xs.push(*x);
+        }
+        out.push((name.clone(), median(xs)));
+    }
+    Ok(out)
+}
+
+/// Compare two sides' `BENCH_hotpath` snapshots: the first half of the
+/// files are baseline runs, the second half fresh runs (one file each
+/// is the classic pairwise diff). Each group's median over its side's
+/// runs is compared, so one noisy run cannot trip or hide a slowdown.
+fn cmd_bench_diff(o: &Opts) -> ExitCode {
+    let n = o.files.len();
+    if n < 2 || !n.is_multiple_of(2) {
+        return usage();
+    }
+    let (base_paths, fresh_paths) = o.files.split_at(n / 2);
+    let (base, fresh) = match (median_rates(base_paths), median_rates(fresh_paths)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(c), _) | (_, Err(c)) => return c,
     };
     println!(
-        "{:<44} {:>14} {:>14} {:>8}",
-        "criterion group", "baseline/s", "fresh/s", "change"
+        "{:<44} {:>14} {:>14} {:>8}   (medians of {} run(s) per side)",
+        "criterion group",
+        "baseline/s",
+        "fresh/s",
+        "change",
+        n / 2
     );
     let mut worst: Option<(String, f64)> = None;
     for (name, b) in &base {
         let Some((_, f)) = fresh.iter().find(|(n, _)| n == name) else {
-            eprintln!(
-                "suss-trace: group '{name}' missing from {}",
-                fresh_path.display()
-            );
+            eprintln!("suss-trace: group '{name}' missing from the fresh runs");
             return ExitCode::FAILURE;
         };
         let change = 100.0 * (f - b) / b.max(1e-9);
@@ -539,5 +577,39 @@ fn main() -> ExitCode {
         "bench-diff" => cmd_bench_diff(&opts),
         "cache-stats" => cmd_cache_stats(&opts),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_diff_takes_per_group_medians_across_runs() {
+        let dir = std::env::temp_dir().join(format!("suss-trace-bench-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths: Vec<PathBuf> = [5.0, 1.0, 3.0]
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let p = dir.join(format!("{i}.json"));
+                let doc = format!(
+                    "{{\"e2e\":{{\"events_per_sec\":{r}}},\"wheel_events_per_sec\":{}}}",
+                    r * 2.0
+                );
+                std::fs::write(&p, doc).unwrap();
+                p
+            })
+            .collect();
+        let medians = median_rates(&paths).ok().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            medians,
+            vec![
+                ("e2e.events_per_sec".to_string(), 3.0),
+                ("wheel_events_per_sec".to_string(), 6.0)
+            ]
+        );
+        assert_eq!(median(vec![4.0, 1.0]), 2.5);
     }
 }

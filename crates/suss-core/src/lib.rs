@@ -11,7 +11,8 @@
 //! inside a guarded window so that neither the next round's ACK-train
 //! measurement nor HyStart's exit logic is disturbed.
 //!
-//! This crate contains only the algorithm:
+//! The crate holds the algorithm and the transport-neutral contract it
+//! runs behind. The algorithm:
 //!
 //! * [`growth`] — Conditions 1 & 2 and the growth-factor search
 //!   (Eqs. 6/8, 17/19; Algorithm 1 generalization),
@@ -22,9 +23,29 @@
 //! * [`suss`] — the per-connection state machine combining the above
 //!   with the modified HyStart of Fig. 8.
 //!
+//! The contract both transports (`tcp-sim`, `quic-sim`) and every
+//! controller (`cc-algos`) share, using only ACK, RTT and byte-count
+//! information any transport exposes:
+//!
+//! * [`cc`] — the [`CongestionControl`] trait, its ACK/loss views and
+//!   the [`CcEvent`] decision catalogue,
+//! * [`trace`] — the per-connection [`ConnTrace`] both senders record
+//!   into,
+//! * [`ranges`] — byte-range sets (SACK scoreboards, reassembly, send
+//!   buffers),
+//! * [`rtt`] — RFC 6298 RTT estimation and RTO,
+//! * [`pacer`] — the token-bucket pacer,
+//! * [`Nanos`] — the transport clock.
+//!
+//! The contract methods a transport calls per packet (range-set updates
+//! and queries, RTT samples, trace samples) are `#[inline]`. The
+//! transports live in other crates, and without the attribute those
+//! calls cannot be inlined there; measured on the fleet workload, that
+//! cost about 8% of wall time.
+//!
 //! Integrations live elsewhere: `cc-algos` couples this state machine to
-//! a CUBIC controller for the `tcp-sim` transport and exposes a
-//! quinn-style controller adapter for userspace QUIC stacks.
+//! a CUBIC controller, and adapts any controller to quinn's byte-counter
+//! shape for the QUIC-like transport.
 //!
 //! ## Example: driving the state machine by hand
 //!
@@ -50,18 +71,30 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cc;
 pub mod config;
 pub mod growth;
 pub mod pacer;
+pub mod ranges;
 pub mod rounds;
+pub mod rtt;
 pub mod schedule;
 pub mod suss;
+pub mod trace;
+
+/// Nanoseconds since an arbitrary, fixed origin: the transport clock.
+pub type Nanos = u64;
+
+pub use cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
 
 pub use config::SussConfig;
 pub use growth::{
     condition1, condition2, growth_factor, growth_factor_algorithm1_literal, GrowthInputs,
 };
 pub use pacer::{packet_interval, Pacer};
-pub use rounds::{AckObservation, Nanos, RoundSnapshot, RoundTracker};
+pub use ranges::{ByteRange, RangeSet};
+pub use rounds::{AckObservation, RoundSnapshot, RoundTracker};
+pub use rtt::RttEstimator;
 pub use schedule::{estimate_ack_train, plan_pacing, PacingPlan};
 pub use suss::{AckEvent, Suss, SussOutput};
+pub use trace::{ConnTrace, TraceEvent, TraceSample};

@@ -13,10 +13,8 @@
 //! chunked-interval) on top of this bucket by varying the burst
 //! allowance and release quantization.
 
+use crate::Nanos;
 use std::time::Duration;
-
-/// Nanoseconds, matching the transport clock.
-pub type Nanos = u64;
 
 /// A byte-rate pacer with a small burst allowance.
 #[derive(Debug, Clone)]

@@ -20,6 +20,7 @@ impl ByteRange {
     ///
     /// # Panics
     /// Panics if `start > end`.
+    #[inline]
     pub fn new(start: u64, end: u64) -> Self {
         assert!(start <= end, "inverted range [{start}, {end})");
         ByteRange { start, end }
@@ -77,6 +78,7 @@ impl RangeSet {
     }
 
     /// Total bytes covered.
+    #[inline]
     pub fn total_bytes(&self) -> u64 {
         self.ranges.iter().map(ByteRange::len).sum()
     }
@@ -93,6 +95,7 @@ impl RangeSet {
 
     /// Iterate ranges that end after `offset` (ascending), skipping the
     /// fully-consumed prefix in O(log n).
+    #[inline]
     pub fn iter_from(&self, offset: u64) -> impl Iterator<Item = ByteRange> + '_ {
         let i = self.ranges.partition_point(|x| x.end <= offset);
         self.ranges[i..].iter().copied()
@@ -100,6 +103,7 @@ impl RangeSet {
 
     /// Insert a range, merging with any overlapping/adjacent ranges.
     /// Returns the number of *new* bytes added (0 if fully duplicate).
+    #[inline]
     pub fn insert(&mut self, r: ByteRange) -> u64 {
         if r.is_empty() {
             return 0;
@@ -122,6 +126,7 @@ impl RangeSet {
 
     /// Remove a range from the set (set difference), splitting any range
     /// that straddles it. Returns the number of bytes removed.
+    #[inline]
     pub fn remove(&mut self, r: ByteRange) -> u64 {
         if r.is_empty() {
             return 0;
@@ -146,6 +151,7 @@ impl RangeSet {
     }
 
     /// Remove every byte below `offset` (they have been consumed).
+    #[inline]
     pub fn remove_below(&mut self, offset: u64) {
         self.ranges.retain_mut(|r| {
             if r.end <= offset {
@@ -175,6 +181,7 @@ impl RangeSet {
     /// The end of the contiguous run starting at `offset` (== `offset` if
     /// `offset` itself is not covered). This is the receiver's cumulative
     /// ACK computation.
+    #[inline]
     pub fn contiguous_end(&self, offset: u64) -> u64 {
         let i = self.ranges.partition_point(|x| x.end < offset);
         match self.ranges.get(i) {
@@ -186,6 +193,7 @@ impl RangeSet {
     /// The first gap (uncovered range) at or after `offset`, bounded by
     /// `limit`. Returns `None` if everything in `[offset, limit)` is
     /// covered. This is the sender's "next hole to retransmit" query.
+    #[inline]
     pub fn first_gap(&self, offset: u64, limit: u64) -> Option<ByteRange> {
         if offset >= limit {
             return None;

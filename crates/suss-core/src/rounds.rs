@@ -10,8 +10,7 @@
 //! All sequence numbers here are *absolute cumulative byte offsets* (the
 //! transport unwraps 32-bit TCP sequence space before calling in).
 
-/// Nanoseconds since an arbitrary, fixed origin (the transport's clock).
-pub type Nanos = u64;
+use crate::Nanos;
 
 /// Immutable record of a finished round, inspected while ACKs for its data
 /// arrive during the following round.

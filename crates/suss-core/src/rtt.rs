@@ -40,6 +40,7 @@ impl RttEstimator {
 
     /// Feed a fresh RTT sample (must come from a non-retransmitted
     /// segment, per Karn's algorithm — the transport enforces this).
+    #[inline]
     pub fn on_sample(&mut self, rtt: Duration) {
         self.latest = Some(rtt);
         self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
@@ -85,6 +86,7 @@ impl RttEstimator {
     ///
     /// `RTO = max(min_rto, SRTT + 4·RTTVAR) · 2^backoff`, capped at
     /// `max_rto`. Before the first sample, `RTO = 1 s` (RFC 6298 §2.1).
+    #[inline]
     pub fn rto(&self) -> Duration {
         let base = match self.srtt {
             None => Duration::from_secs(1),

@@ -23,8 +23,9 @@
 
 use crate::config::SussConfig;
 use crate::growth::{growth_factor, GrowthInputs};
-use crate::rounds::{Nanos, RoundTracker};
+use crate::rounds::RoundTracker;
 use crate::schedule::{estimate_ack_train, plan_pacing, PacingPlan};
+use crate::Nanos;
 use std::time::Duration;
 
 /// One cumulative-ACK event, as seen by the sender.

@@ -2,8 +2,12 @@
 //!
 //! The paper instruments the kernel to log cwnd, RTT, inflight and
 //! delivered bytes per ACK; this module is the simulator's equivalent.
-//! Traces are the raw material for Figures 1, 9, 10, 13 and 16.
+//! Traces are the raw material for Figures 1, 9, 10, 13 and 16. Both
+//! transports record into the same [`ConnTrace`], so `suss-trace` tooling,
+//! the CC decision trace and the flight recorder read either without
+//! translation.
 
+use crate::cc::CcEvent;
 use netsim::SimTime;
 use simtrace::{kind, EventSink, TraceRecord};
 use std::time::Duration;
@@ -40,48 +44,10 @@ pub enum TraceEvent {
     FastRetransmit,
     /// A retransmission timeout fired.
     Rto,
-    /// A SUSS pacing period began with the given growth factor.
-    SussPacing {
-        /// The growth factor G of the round that triggered pacing.
-        growth_factor: u32,
-    },
     /// All flow bytes were acknowledged.
     FlowComplete,
-    /// The controller reset its congestion window (CC decision).
-    CcCwnd {
-        /// The new congestion window in bytes.
-        cwnd: u64,
-        /// Decision code.
-        reason: &'static str,
-    },
-    /// The controller moved its slow-start threshold (CC decision).
-    CcSsthresh {
-        /// The new threshold in bytes.
-        ssthresh: u64,
-        /// Decision code.
-        reason: &'static str,
-    },
-    /// The controller changed its pacing rate (CC decision).
-    CcPacingRate {
-        /// The new rate in bits per second (0 = pacing stopped).
-        rate_bps: u64,
-        /// Decision code.
-        reason: &'static str,
-    },
-    /// SUSS finished estimating a slow-start round.
-    SussRound {
-        /// The 1-based slow-start round index.
-        round: u32,
-        /// The growth estimate `k` for that round.
-        k: u32,
-    },
-    /// A HyStart / HyStart++ phase transition.
-    HystartPhase {
-        /// The phase entered: `css`, `slow_start`, or `exit`.
-        phase: &'static str,
-        /// Trigger code.
-        reason: &'static str,
-    },
+    /// A congestion-control decision, as the controller reported it.
+    Cc(CcEvent),
 }
 
 /// Accumulated trace of one connection.
@@ -129,6 +95,7 @@ impl ConnTrace {
     }
 
     /// Record a sample if sampling is on (honouring decimation).
+    #[inline]
     pub fn sample(&mut self, s: TraceSample) {
         if !self.sampling {
             return;
@@ -154,8 +121,13 @@ impl ConnTrace {
         }
     }
 
-    /// Record an event (always kept).
-    pub fn event(&mut self, t: SimTime, e: TraceEvent) {
+    /// Record an event of `flow` (always kept), mirroring it into the
+    /// thread's flight recorder (a no-op unless one is installed — see
+    /// [`simtrace::flightrec`]). The mirror is the record
+    /// [`ConnTrace::export`] writes, so a post-mortem dump reads like a
+    /// live slice of the exported trace.
+    pub fn event(&mut self, flow: u64, t: SimTime, e: TraceEvent) {
+        simtrace::flightrec::record_with(|| Self::event_record(flow, t, &e));
         self.events.push((t, e));
     }
 
@@ -177,54 +149,48 @@ impl ConnTrace {
         self.events.iter().filter(|(_, x)| *x == e).count()
     }
 
-    /// The [`kind`] constant a [`TraceEvent`] exports under.
-    pub fn record_kind(e: &TraceEvent) -> &'static str {
-        match e {
-            TraceEvent::FlowStart => kind::FLOW_START,
-            TraceEvent::SlowStartExit { .. } => kind::SLOW_START_EXIT,
-            TraceEvent::FastRetransmit => kind::FAST_RETRANSMIT,
-            TraceEvent::Rto => kind::RTO,
-            TraceEvent::SussPacing { .. } => kind::SUSS_PACING,
-            TraceEvent::FlowComplete => kind::FLOW_COMPLETE,
-            TraceEvent::CcCwnd { .. } => kind::CC_CWND,
-            TraceEvent::CcSsthresh { .. } => kind::CC_SSTHRESH,
-            TraceEvent::CcPacingRate { .. } => kind::CC_PACING,
-            TraceEvent::SussRound { .. } => kind::SUSS_ROUND,
-            TraceEvent::HystartPhase { .. } => kind::HYSTART,
-        }
-    }
-
-    /// Fill a record's payload fields (`cwnd`/`value`/`reason`) from a
-    /// [`TraceEvent`]. Shared by [`ConnTrace::export`] and the flight
-    /// recorder's live mirror so the two emit identical records.
-    pub fn fill_record(rec: &mut TraceRecord, e: &TraceEvent) {
-        match e {
-            TraceEvent::FlowStart | TraceEvent::FastRetransmit | TraceEvent::FlowComplete => {}
-            TraceEvent::Rto => {}
-            TraceEvent::SlowStartExit { cwnd } => rec.cwnd = Some(*cwnd),
-            TraceEvent::SussPacing { growth_factor } => {
-                rec.value = Some(f64::from(*growth_factor));
+    /// The record an event exports as: its [`kind`] constant plus the
+    /// `cwnd`/`value`/`reason` payload.
+    fn event_record(flow: u64, t: SimTime, e: &TraceEvent) -> TraceRecord {
+        let (kind, cwnd, value, reason) = match *e {
+            TraceEvent::FlowStart => (kind::FLOW_START, None, None, None),
+            TraceEvent::SlowStartExit { cwnd } => (kind::SLOW_START_EXIT, Some(cwnd), None, None),
+            TraceEvent::FastRetransmit => (kind::FAST_RETRANSMIT, None, None, None),
+            TraceEvent::Rto => (kind::RTO, None, None, None),
+            TraceEvent::FlowComplete => (kind::FLOW_COMPLETE, None, None, None),
+            TraceEvent::Cc(CcEvent::SussPacingStarted { g }) => {
+                (kind::SUSS_PACING, None, Some(f64::from(g)), None)
             }
-            TraceEvent::CcCwnd { cwnd, reason } => {
-                rec.cwnd = Some(*cwnd);
-                rec.reason = Some((*reason).to_string());
+            TraceEvent::Cc(CcEvent::CwndChanged { cwnd, reason }) => {
+                (kind::CC_CWND, Some(cwnd), None, Some(reason.to_string()))
             }
-            TraceEvent::CcSsthresh { ssthresh, reason } => {
-                rec.value = Some(*ssthresh as f64);
-                rec.reason = Some((*reason).to_string());
+            TraceEvent::Cc(CcEvent::SsthreshChanged { ssthresh, reason }) => (
+                kind::CC_SSTHRESH,
+                None,
+                Some(ssthresh as f64),
+                Some(reason.to_string()),
+            ),
+            TraceEvent::Cc(CcEvent::PacingRateChanged { rate_bps, reason }) => (
+                kind::CC_PACING,
+                None,
+                Some(rate_bps as f64),
+                Some(reason.to_string()),
+            ),
+            TraceEvent::Cc(CcEvent::SussRound { round, k }) => (
+                kind::SUSS_ROUND,
+                None,
+                Some(f64::from(k)),
+                Some(format!("round={round},k={k}")),
+            ),
+            TraceEvent::Cc(CcEvent::HystartPhase { phase, reason }) => {
+                (kind::HYSTART, None, None, Some(format!("{phase}:{reason}")))
             }
-            TraceEvent::CcPacingRate { rate_bps, reason } => {
-                rec.value = Some(*rate_bps as f64);
-                rec.reason = Some((*reason).to_string());
-            }
-            TraceEvent::SussRound { round, k } => {
-                rec.value = Some(f64::from(*k));
-                rec.reason = Some(format!("round={round},k={k}"));
-            }
-            TraceEvent::HystartPhase { phase, reason } => {
-                rec.reason = Some(format!("{phase}:{reason}"));
-            }
-        }
+        };
+        let mut rec = TraceRecord::event(t.as_nanos(), flow, kind);
+        rec.cwnd = cwnd;
+        rec.value = value;
+        rec.reason = reason;
+        rec
     }
 
     /// Export the whole trace (samples, then events) to a structured
@@ -242,50 +208,9 @@ impl ConnTrace {
             sink.record(&rec);
         }
         for (t, e) in &self.events {
-            let mut rec = TraceRecord::event(t.as_nanos(), flow, Self::record_kind(e));
-            Self::fill_record(&mut rec, e);
+            let mut rec = Self::event_record(flow, *t, e);
             rec.run = run.map(str::to_string);
             sink.record(&rec);
-        }
-    }
-}
-
-/// Final statistics of one flow.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlowStats {
-    /// Total application bytes to deliver.
-    pub flow_bytes: u64,
-    /// Flow start time (first transmission).
-    pub started_at: Option<SimTime>,
-    /// Time the last byte was cumulatively acknowledged at the sender.
-    pub completed_at: Option<SimTime>,
-    /// Data segments transmitted (including retransmissions).
-    pub segs_sent: u64,
-    /// Data segments retransmitted.
-    pub segs_retransmitted: u64,
-    /// Fast-retransmit episodes entered.
-    pub fast_retransmits: u64,
-    /// Retransmission timeouts fired.
-    pub rtos: u64,
-}
-
-impl FlowStats {
-    /// Flow completion time, if the flow finished.
-    pub fn fct(&self) -> Option<Duration> {
-        match (self.started_at, self.completed_at) {
-            (Some(s), Some(c)) => Some(c.saturating_since(s)),
-            _ => None,
-        }
-    }
-
-    /// Fraction of transmitted segments that were retransmissions —
-    /// the "packet loss rate" metric of the paper's Fig. 14/17 (sender's
-    /// observable proxy for path loss).
-    pub fn retransmit_rate(&self) -> f64 {
-        if self.segs_sent == 0 {
-            0.0
-        } else {
-            self.segs_retransmitted as f64 / self.segs_sent as f64
         }
     }
 }
@@ -360,7 +285,7 @@ mod tests {
     #[test]
     fn export_emits_samples_and_events() {
         let mut t = ConnTrace::enabled();
-        t.event(SimTime::from_millis(0), TraceEvent::FlowStart);
+        t.event(1, SimTime::from_millis(0), TraceEvent::FlowStart);
         t.sample(TraceSample {
             t: SimTime::from_millis(1),
             cwnd: 1000,
@@ -370,10 +295,12 @@ mod tests {
             srtt: None,
         });
         t.event(
+            1,
             SimTime::from_millis(2),
-            TraceEvent::SussPacing { growth_factor: 4 },
+            TraceEvent::Cc(CcEvent::SussPacingStarted { g: 4 }),
         );
         t.event(
+            1,
             SimTime::from_millis(3),
             TraceEvent::SlowStartExit { cwnd: 9000 },
         );
@@ -384,6 +311,8 @@ mod tests {
         assert_eq!(sample.kind, kind::SAMPLE);
         assert_eq!(sample.flow, Some(7));
         assert_eq!(sample.cwnd, Some(1000));
+        assert_eq!(sample.inflight, Some(500));
+        assert_eq!(sample.delivered, Some(100));
         assert_eq!(sample.rtt_ns, Some(10_000_000));
         assert_eq!(sample.srtt_ns, None);
         assert_eq!(sample.run.as_deref(), Some("arm"));
@@ -403,45 +332,83 @@ mod tests {
 
     #[test]
     fn cc_decision_events_export_with_reasons() {
+        // Every decision a controller can report, with the record it must
+        // export as: (event, kind, cwnd, value, reason). The expectations
+        // are the record schema the two transports have always written.
+        let cases = [
+            (
+                CcEvent::SussPacingStarted { g: 4 },
+                kind::SUSS_PACING,
+                None,
+                Some(4.0),
+                None,
+            ),
+            (
+                CcEvent::CwndChanged {
+                    cwnd: 14_480,
+                    reason: "timeout",
+                },
+                kind::CC_CWND,
+                Some(14_480),
+                None,
+                Some("timeout"),
+            ),
+            (
+                CcEvent::SsthreshChanged {
+                    ssthresh: 28_960,
+                    reason: "loss",
+                },
+                kind::CC_SSTHRESH,
+                None,
+                Some(28_960.0),
+                Some("loss"),
+            ),
+            (
+                CcEvent::PacingRateChanged {
+                    rate_bps: 50_000_000,
+                    reason: "suss_pacing",
+                },
+                kind::CC_PACING,
+                None,
+                Some(50_000_000.0),
+                Some("suss_pacing"),
+            ),
+            (
+                CcEvent::SussRound { round: 3, k: 4 },
+                kind::SUSS_ROUND,
+                None,
+                Some(4.0),
+                Some("round=3,k=4"),
+            ),
+            (
+                CcEvent::HystartPhase {
+                    phase: "css",
+                    reason: "rtt_rise",
+                },
+                kind::HYSTART,
+                None,
+                None,
+                Some("css:rtt_rise"),
+            ),
+        ];
+        let recorder = simtrace::flightrec::FlightRecorder::new(cases.len());
+        simtrace::flightrec::install(Some(recorder.clone()));
         let mut t = ConnTrace::events_only();
-        t.event(
-            SimTime::from_millis(1),
-            TraceEvent::CcSsthresh {
-                ssthresh: 28_960,
-                reason: "loss",
-            },
-        );
-        t.event(
-            SimTime::from_millis(2),
-            TraceEvent::SussRound { round: 3, k: 4 },
-        );
-        t.event(
-            SimTime::from_millis(3),
-            TraceEvent::HystartPhase {
-                phase: "css",
-                reason: "rtt_rise",
-            },
-        );
-        t.event(
-            SimTime::from_millis(4),
-            TraceEvent::CcPacingRate {
-                rate_bps: 50_000_000,
-                reason: "suss_pacing",
-            },
-        );
+        for (i, (ev, ..)) in cases.iter().enumerate() {
+            t.event(1, SimTime::from_millis(i as u64 + 1), TraceEvent::Cc(*ev));
+        }
+        simtrace::flightrec::install(None);
         let mut sink = simtrace::VecSink::new();
         t.export(1, None, &mut sink);
-        assert_eq!(sink.records.len(), 4);
-        assert_eq!(sink.records[0].kind, kind::CC_SSTHRESH);
-        assert_eq!(sink.records[0].value, Some(28_960.0));
-        assert_eq!(sink.records[0].reason.as_deref(), Some("loss"));
-        assert_eq!(sink.records[1].kind, kind::SUSS_ROUND);
-        assert_eq!(sink.records[1].value, Some(4.0));
-        assert_eq!(sink.records[1].reason.as_deref(), Some("round=3,k=4"));
-        assert_eq!(sink.records[2].kind, kind::HYSTART);
-        assert_eq!(sink.records[2].reason.as_deref(), Some("css:rtt_rise"));
-        assert_eq!(sink.records[3].kind, kind::CC_PACING);
-        assert_eq!(sink.records[3].value, Some(50_000_000.0));
+        assert_eq!(sink.records.len(), cases.len());
+        for (rec, (ev, kind, cwnd, value, reason)) in sink.records.iter().zip(cases) {
+            assert_eq!(rec.kind, kind, "{ev:?}");
+            assert_eq!(rec.cwnd, cwnd, "{ev:?}");
+            assert_eq!(rec.value, value, "{ev:?}");
+            assert_eq!(rec.reason.as_deref(), reason, "{ev:?}");
+        }
+        // The live flight-recorder mirror writes the exported records.
+        assert_eq!(recorder.snapshot(), sink.records);
     }
 
     #[test]
@@ -456,7 +423,7 @@ mod tests {
             srtt: None,
         });
         assert!(t.samples.is_empty());
-        t.event(SimTime::ZERO, TraceEvent::FlowStart);
+        t.event(1, SimTime::ZERO, TraceEvent::FlowStart);
         assert_eq!(t.events.len(), 1);
     }
 
@@ -480,32 +447,11 @@ mod tests {
     }
 
     #[test]
-    fn fct_requires_both_endpoints() {
-        let mut s = FlowStats::default();
-        assert!(s.fct().is_none());
-        s.started_at = Some(SimTime::from_millis(100));
-        assert!(s.fct().is_none());
-        s.completed_at = Some(SimTime::from_millis(400));
-        assert_eq!(s.fct(), Some(Duration::from_millis(300)));
-    }
-
-    #[test]
-    fn retransmit_rate() {
-        let s = FlowStats {
-            segs_sent: 200,
-            segs_retransmitted: 10,
-            ..Default::default()
-        };
-        assert!((s.retransmit_rate() - 0.05).abs() < 1e-12);
-        assert_eq!(FlowStats::default().retransmit_rate(), 0.0);
-    }
-
-    #[test]
     fn find_and_count_events() {
         let mut t = ConnTrace::events_only();
-        t.event(SimTime::from_millis(1), TraceEvent::FlowStart);
-        t.event(SimTime::from_millis(5), TraceEvent::Rto);
-        t.event(SimTime::from_millis(9), TraceEvent::Rto);
+        t.event(1, SimTime::from_millis(1), TraceEvent::FlowStart);
+        t.event(1, SimTime::from_millis(5), TraceEvent::Rto);
+        t.event(1, SimTime::from_millis(9), TraceEvent::Rto);
         assert_eq!(
             t.find_event(|e| matches!(e, TraceEvent::Rto)),
             Some(SimTime::from_millis(5))

@@ -1,9 +1,9 @@
 //! Convenience wiring: install a sender/receiver pair into a simulation.
 
-use crate::cc::CongestionControl;
 use crate::receiver::{AckPolicy, ReceiverEndpoint};
 use crate::sender::{SenderConfig, SenderEndpoint};
 use netsim::{FlowId, LinkId, NodeId, Sim};
+use suss_core::cc::CongestionControl;
 
 /// Handles to an installed flow's endpoints.
 #[derive(Debug, Clone, Copy)]

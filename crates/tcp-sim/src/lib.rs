@@ -5,11 +5,12 @@
 //! congestion control, ACK clocking, token-bucket pacing, RFC 6298 RTT/RTO,
 //! fast retransmit with a SACK scoreboard, and NewReno-style recovery.
 //!
-//! The congestion-control interface ([`cc::CongestionControl`]) mirrors the
-//! controller traits of userspace QUIC stacks (e.g. quinn), which is the
-//! reproduction target suggested for this paper: SUSS is implemented
-//! against this trait in the `cc-algos` crate and could be dropped into a
-//! real QUIC implementation with the same shape.
+//! The congestion-control interface ([`suss_core::cc::CongestionControl`])
+//! mirrors the controller traits of userspace QUIC stacks (e.g. quinn),
+//! which is the reproduction target suggested for this paper. It lives in
+//! `suss-core` with the other transport-neutral pieces this crate uses
+//! (RTT estimator, range sets, pacer, connection trace), so the QUIC-like
+//! `quic-sim` transport shares them without depending on this crate.
 //!
 //! ## Example
 //!
@@ -42,20 +43,17 @@
 
 pub mod cc;
 pub mod flow;
-pub mod pacer;
-pub mod ranges;
 pub mod receiver;
-pub mod rtt;
 pub mod segment;
 pub mod sender;
-pub mod trace;
 
-pub use cc::{AckView, CongestionControl, LossKind, LossView};
+/// Kept at this path because the frozen `perfbench` harness imports
+/// `tcp_sim::ranges::{ByteRange, RangeSet}`.
+pub mod ranges {
+    pub use suss_core::ranges::{ByteRange, RangeSet};
+}
+
 pub use flow::{flow_complete, install_flow, wire_flow, FlowEnds};
-pub use pacer::Pacer;
-pub use ranges::{ByteRange, RangeSet};
 pub use receiver::{AckPolicy, ReceiverEndpoint};
-pub use rtt::RttEstimator;
 pub use segment::{AckSeg, DataSeg};
-pub use sender::{SenderConfig, SenderEndpoint};
-pub use trace::{ConnTrace, FlowStats, TraceEvent, TraceSample};
+pub use sender::{FlowStats, SenderConfig, SenderEndpoint};

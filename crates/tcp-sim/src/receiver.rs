@@ -6,11 +6,11 @@
 //! all real stacks do); in-order arrivals follow the configured ACK
 //! policy (per-packet by default, or every-N with a delayed-ACK timer).
 
-use crate::ranges::RangeSet;
 use crate::segment::{AckSeg, DataSeg};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use std::any::Any;
 use std::time::Duration;
+use suss_core::ranges::RangeSet;
 
 /// ACK generation policy.
 #[derive(Debug, Clone, Copy)]

@@ -5,11 +5,9 @@
 //! space) because header bytes occupy bottleneck queues and serialization
 //! time.
 
-use crate::ranges::ByteRange;
 use netsim::FlowId;
-
-/// Nanoseconds on the transport clock.
-pub type Nanos = u64;
+use suss_core::ranges::ByteRange;
+use suss_core::Nanos;
 
 /// IP (20 B) + TCP (20 B) headers.
 pub const BASE_HEADER_BYTES: u32 = 40;

@@ -12,15 +12,16 @@
 //!   `pacing_rate()`,
 //! * per-ACK trace sampling for the experiment harness.
 
-use crate::cc::{AckView, CongestionControl, LossKind, LossView};
-use crate::pacer::Pacer;
-use crate::ranges::{ByteRange, RangeSet};
-use crate::rtt::RttEstimator;
 use crate::segment::{AckSeg, DataSeg};
-use crate::trace::{ConnTrace, FlowStats, TraceEvent, TraceSample};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use simtrace::{names, Counter, Registry};
 use std::any::Any;
+use std::time::Duration;
+use suss_core::cc::{AckView, CongestionControl, LossKind, LossView};
+use suss_core::pacer::Pacer;
+use suss_core::ranges::{ByteRange, RangeSet};
+use suss_core::rtt::RttEstimator;
+use suss_core::trace::{ConnTrace, TraceEvent, TraceSample};
 
 /// Timer token kinds (low 3 bits of the token).
 const TK_START: u64 = 0;
@@ -92,6 +93,46 @@ impl SenderMetrics {
             rtos: registry.counter(names::TCP_RTOS),
             fast_retransmits: registry.counter(names::TCP_FAST_RETRANSMITS),
             hystart_exits: registry.counter(names::CC_HYSTART_EXITS),
+        }
+    }
+}
+
+/// Final statistics of one flow.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlowStats {
+    /// Total application bytes to deliver.
+    pub flow_bytes: u64,
+    /// Flow start time (first transmission).
+    pub started_at: Option<SimTime>,
+    /// Time the last byte was cumulatively acknowledged at the sender.
+    pub completed_at: Option<SimTime>,
+    /// Data segments transmitted (including retransmissions).
+    pub segs_sent: u64,
+    /// Data segments retransmitted.
+    pub segs_retransmitted: u64,
+    /// Fast-retransmit episodes entered.
+    pub fast_retransmits: u64,
+    /// Retransmission timeouts fired.
+    pub rtos: u64,
+}
+
+impl FlowStats {
+    /// Flow completion time, if the flow finished.
+    pub fn fct(&self) -> Option<Duration> {
+        match (self.started_at, self.completed_at) {
+            (Some(s), Some(c)) => Some(c.saturating_since(s)),
+            _ => None,
+        }
+    }
+
+    /// Fraction of transmitted segments that were retransmissions —
+    /// the "packet loss rate" metric of the paper's Fig. 14/17 (sender's
+    /// observable proxy for path loss).
+    pub fn retransmit_rate(&self) -> f64 {
+        if self.segs_sent == 0 {
+            0.0
+        } else {
+            self.segs_retransmitted as f64 / self.segs_sent as f64
         }
     }
 }
@@ -443,14 +484,15 @@ impl SenderEndpoint {
                 if let Some(m) = &self.metrics {
                     m.fast_retransmits.inc();
                 }
-                self.trace_event(now, TraceEvent::FastRetransmit);
+                self.trace
+                    .event(self.flow.0, now, TraceEvent::FastRetransmit);
             }
             LossKind::Timeout => {
                 self.stats.rtos += 1;
                 if let Some(m) = &self.metrics {
                     m.rtos.inc();
                 }
-                self.trace_event(now, TraceEvent::Rto);
+                self.trace.event(self.flow.0, now, TraceEvent::Rto);
             }
         }
     }
@@ -467,7 +509,7 @@ impl SenderEndpoint {
         // RTT sampling (Karn: skip echoes of retransmitted segments).
         if !ack.echo_retransmit {
             let sample = now.as_nanos().saturating_sub(ack.echo_ts);
-            self.rtt.on_sample(std::time::Duration::from_nanos(sample));
+            self.rtt.on_sample(Duration::from_nanos(sample));
         }
 
         let pipe_before = self.pipe();
@@ -585,9 +627,8 @@ impl SenderEndpoint {
             now: now.as_nanos(),
             ack_seq: ack.ack_seq,
             newly_acked: cum_advance + newly_sacked,
-            rtt_sample: (!ack.echo_retransmit).then(|| {
-                std::time::Duration::from_nanos(now.as_nanos().saturating_sub(ack.echo_ts))
-            }),
+            rtt_sample: (!ack.echo_retransmit)
+                .then(|| Duration::from_nanos(now.as_nanos().saturating_sub(ack.echo_ts))),
             srtt: self.rtt.srtt(),
             min_rtt: self.rtt.min_rtt(),
             inflight: pipe_before,
@@ -605,7 +646,8 @@ impl SenderEndpoint {
                     m.hystart_exits.inc();
                 }
             }
-            self.trace_event(
+            self.trace.event(
+                self.flow.0,
                 now,
                 TraceEvent::SlowStartExit {
                     cwnd: self.cc.cwnd(),
@@ -621,7 +663,7 @@ impl SenderEndpoint {
                 t.set(t.get() + 1);
             }
             self.stats.completed_at = Some(now);
-            self.trace_event(now, TraceEvent::FlowComplete);
+            self.trace.event(self.flow.0, now, TraceEvent::FlowComplete);
             self.disarm_rto();
             self.trace_sample(now);
             // Keep the completion-time sample even under decimation.
@@ -666,47 +708,9 @@ impl SenderEndpoint {
     }
 
     fn drain_cc_events(&mut self, now: SimTime) {
-        use crate::cc::CcEvent;
         for ev in self.cc.take_events() {
-            let te = match ev {
-                CcEvent::SussPacingStarted { g } => TraceEvent::SussPacing { growth_factor: g },
-                CcEvent::SlowStartExited => {
-                    // Already captured via the in_slow_start transition; kept
-                    // for controllers that exit from a timer context.
-                    continue;
-                }
-                CcEvent::CwndChanged { cwnd, reason } => TraceEvent::CcCwnd { cwnd, reason },
-                CcEvent::SsthreshChanged { ssthresh, reason } => {
-                    TraceEvent::CcSsthresh { ssthresh, reason }
-                }
-                CcEvent::PacingRateChanged { rate_bps, reason } => {
-                    TraceEvent::CcPacingRate { rate_bps, reason }
-                }
-                CcEvent::SussRound { round, k } => TraceEvent::SussRound { round, k },
-                CcEvent::HystartPhase { phase, reason } => {
-                    TraceEvent::HystartPhase { phase, reason }
-                }
-            };
-            self.trace_event(now, te);
+            self.trace.event(self.flow.0, now, TraceEvent::Cc(ev));
         }
-    }
-
-    /// Record a connection event, mirroring it into the thread's flight
-    /// recorder (a no-op unless one is installed — see
-    /// [`simtrace::flightrec`]). The mirror uses the same record mapping
-    /// as [`ConnTrace::export`], so a post-mortem dump reads like a live
-    /// slice of the exported trace.
-    fn trace_event(&mut self, now: SimTime, e: TraceEvent) {
-        simtrace::flightrec::record_with(|| {
-            let mut rec = simtrace::TraceRecord::event(
-                now.as_nanos(),
-                self.flow.0,
-                ConnTrace::record_kind(&e),
-            );
-            ConnTrace::fill_record(&mut rec, &e);
-            rec
-        });
-        self.trace.event(now, e);
     }
 
     fn trace_sample(&mut self, now: SimTime) {
@@ -742,7 +746,7 @@ impl Agent for SenderEndpoint {
             TK_START => {
                 let now = ctx.now();
                 self.stats.started_at = Some(now);
-                self.trace_event(now, TraceEvent::FlowStart);
+                self.trace.event(self.flow.0, now, TraceEvent::FlowStart);
                 self.sync_pacing_rate(now);
                 self.try_send(ctx);
                 self.sync_cc_timer(ctx);
@@ -772,5 +776,31 @@ impl Agent for SenderEndpoint {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fct_requires_both_endpoints() {
+        let mut s = FlowStats::default();
+        assert!(s.fct().is_none());
+        s.started_at = Some(SimTime::from_millis(100));
+        assert!(s.fct().is_none());
+        s.completed_at = Some(SimTime::from_millis(400));
+        assert_eq!(s.fct(), Some(Duration::from_millis(300)));
+    }
+
+    #[test]
+    fn retransmit_rate() {
+        let s = FlowStats {
+            segs_sent: 200,
+            segs_retransmitted: 10,
+            ..Default::default()
+        };
+        assert!((s.retransmit_rate() - 0.05).abs() < 1e-12);
+        assert_eq!(FlowStats::default().retransmit_rate(), 0.0);
     }
 }

@@ -2,11 +2,11 @@
 
 use netsim::{Bandwidth, FlowId, LinkSpec, Sim, SimTime};
 use std::time::Duration;
+use suss_core::trace::TraceEvent;
 use tcp_sim::cc::{BasicSlowStart, FixedCwnd};
 use tcp_sim::flow::{install_flow, wire_flow, FlowEnds};
 use tcp_sim::receiver::{AckPolicy, ReceiverEndpoint};
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
-use tcp_sim::trace::TraceEvent;
 
 const MSS: u64 = 1448;
 
@@ -15,7 +15,7 @@ fn direct_link_flow(
     seed: u64,
     flow_bytes: u64,
     spec: LinkSpec,
-    cc: Box<dyn tcp_sim::cc::CongestionControl>,
+    cc: Box<dyn suss_core::cc::CongestionControl>,
     policy: AckPolicy,
     tracing: bool,
 ) -> (Sim, FlowEnds) {

@@ -2,21 +2,23 @@
 //!
 //! The reproduction target for this paper is "port into userspace QUIC
 //! (quinn/quiche) congestion control". This example drives CUBIC+SUSS
-//! purely through the quinn-shaped [`QuicController`] interface — byte
-//! counts, timestamps and RTT estimates only, no TCP sequence numbers —
-//! emulating what a QUIC loss detector would feed it, and shows the same
-//! G=4 accelerated rounds emerging.
+//! purely through the quinn-shaped `QuicAdapter` — byte counts, timestamps
+//! and RTT estimates only, no TCP sequence numbers — emulating what a QUIC
+//! loss detector would feed it, and shows the same G=4 accelerated rounds
+//! emerging in the controller's decision events.
 //!
 //! Run with: `cargo run --release --example quic_controller`
 
 use std::time::Duration;
-use suss_repro::cc::{CubicSuss, QuicAdapter, QuicController, QuicRtt};
+use suss_repro::cc::{make_quic_controller, QuicRtt};
 use suss_repro::prelude::*;
+use suss_repro::suss::CcEvent;
 
 const RTT: Duration = Duration::from_millis(120);
 
 fn main() {
-    let mut ctl = QuicAdapter::new(CubicSuss::new(IW, MSS, SussConfig::default()));
+    let mut ctl = make_quic_controller(CcKind::CubicSuss, IW, MSS);
+    let mut pacings = 0;
     println!("driving CUBIC+SUSS through the quinn-shaped controller API\n");
     println!("round  window(segs)  growth-factor  pacing");
 
@@ -51,7 +53,7 @@ fn main() {
                 },
             );
             // Send whatever the window now allows (ACK clocking).
-            let w = ctl.window();
+            let w = ctl.inner().cwnd();
             let inflight = sent - acked;
             if w > inflight {
                 let grant = w - inflight;
@@ -60,12 +62,12 @@ fn main() {
             }
         }
         // Run the controller's timers (SUSS guard + pacing window).
-        while let Some(t) = ctl.next_timer() {
+        while let Some(t) = ctl.inner().next_timer() {
             if t > (round as u64 + 1) * rtt_ns {
                 break;
             }
-            ctl.on_timer(t);
-            let w = ctl.window();
+            ctl.inner_mut().on_timer(t);
+            let w = ctl.inner().cwnd();
             let inflight = sent - acked;
             if w > inflight {
                 let grant = w - inflight;
@@ -73,25 +75,31 @@ fn main() {
                 sent += grant;
             }
         }
+        // A SUSS pacing start carries the round's growth factor; a round
+        // without one grew by plain doubling.
+        let mut growth = 2;
+        for ev in ctl.inner_mut().take_events() {
+            if let CcEvent::SussPacingStarted { g } = ev {
+                growth = g;
+                pacings += 1;
+            }
+        }
         println!(
             "{:>5}  {:>12}  {:>13}  {}",
             round,
-            ctl.window() / MSS,
-            ctl.inner().suss().last_growth_factor(),
-            match ctl.pacing_rate() {
+            ctl.inner().cwnd() / MSS,
+            growth,
+            match ctl.inner().pacing_rate() {
                 Some(r) => format!("{:.1} Mbps", r * 8.0 / 1e6),
                 None => "ack-clocked".to_string(),
             }
         );
     }
 
-    println!(
-        "\npacing periods completed: {}  (each is one G=4 accelerated round)",
-        ctl.inner().completed_pacings()
-    );
+    println!("\npacing periods started: {pacings}  (each is one G=4 accelerated round)");
     println!(
         "window after 6 rounds: {} segments — vs {} for traditional doubling",
-        ctl.window() / MSS,
+        ctl.inner().cwnd() / MSS,
         (IW / MSS) << 6
     );
 }

@@ -8,9 +8,9 @@
 # engines' simulation results are not byte-identical.
 #
 # Usage: scripts/bench_snapshot.sh [--quick]
-#   --quick   smaller workload, 2 reps instead of 5 (CI smoke; see
-#             scripts/check.sh). Full mode is what BENCH_hotpath.json in
-#             the repo records.
+#   --quick   smaller workload (the perf gate's unit of work; see
+#             scripts/bench_gate.sh). Full mode is what BENCH_hotpath.json
+#             in the repo records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

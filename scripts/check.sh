@@ -1,8 +1,27 @@
 #!/usr/bin/env bash
-# The full pre-merge gate: build, tests, lints, formatting.
+# The full pre-merge gate: layering, build, tests, smokes, lints,
+# formatting, and the same-host perf gate.
 # Usage: scripts/check.sh (from anywhere inside the repo)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== layering guard (cargo tree) =="
+# The transport-neutral contract lives in suss-core: neither the QUIC
+# transport nor the controllers may reach it through tcp-sim, and
+# suss-core depends on no transport or controller crate. Only normal
+# dependencies count: cc-algos' end-to-end tests run over tcp-sim.
+deps() { cargo tree --offline -q -e normal -p "$1" --prefix none | awk '{print $1}' | sort -u; }
+for pkg in quic-sim cc-algos; do
+    if grep -qx tcp-sim <<<"$(deps "$pkg")"; then
+        echo "$pkg depends on tcp-sim" >&2
+        exit 1
+    fi
+done
+bad=$(grep -xE 'tcp-sim|cc-algos|quic-sim' <<<"$(deps suss-core)" || true)
+if [ -n "$bad" ]; then
+    echo "suss-core depends on:" $bad >&2
+    exit 1
+fi
 
 echo "== cargo build --release =="
 cargo build --release
@@ -183,8 +202,7 @@ ls results/fig17.shard*.heartbeat.json >/dev/null 2>&1 \
 [ -f results/fig17.shardplan.json ] \
     && { echo "shard plan not cleaned up after success" >&2; exit 1; }
 
-# Lint and format run before the host-dependent bench gate below, so
-# they run on every host even where that gate fails.
+# Lint and format run before the bench gate below, the slowest stage.
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 # Tests, benches and examples are linted too, not just library code.
 cargo clippy --workspace --all-targets -- -D warnings
@@ -192,18 +210,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== perf-regression gate (quick bench vs committed baseline) =="
-# Diff a fresh quick A/B snapshot against the committed baseline; any
-# criterion group more than 25% slower fails the gate.
-cp results/BENCH_hotpath.quick.json "$SMOKE_DIR/bench_baseline.json"
-
-# Short-iteration hotpath run: proves the A/B harness runs end to end and
-# that both engines still produce byte-identical results (the bin exits
-# non-zero on divergence), then feeds the regression diff. Full-mode
-# timings are recorded separately; see scripts/bench_snapshot.sh.
-scripts/bench_snapshot.sh --quick >/dev/null
-cargo run --release -q -p simtrace --bin suss-trace -- \
-    bench-diff "$SMOKE_DIR/bench_baseline.json" results/BENCH_hotpath.quick.json \
-    --max-slowdown 25
+echo "== perf-regression gate (same-host A/B against the base commit) =="
+# Base and head hotpath runs, interleaved on this host; any events/sec
+# group whose median slowed by more than 25% fails the gate.
+scripts/bench_gate.sh
 
 echo "All checks passed."

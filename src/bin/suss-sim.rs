@@ -189,10 +189,11 @@ fn main() {
         println!("bottleneck drops: {}", out.bottleneck_drops);
         println!("suss pacings   : {}", out.suss_pacings);
         if trace {
-            if let Some((t, _)) =
-                out.trace.events.iter().find(|(_, e)| {
-                    matches!(e, suss_repro::transport::TraceEvent::SlowStartExit { .. })
-                })
+            if let Some((t, _)) = out
+                .trace
+                .events
+                .iter()
+                .find(|(_, e)| matches!(e, suss_repro::suss::TraceEvent::SlowStartExit { .. }))
             {
                 println!("slow-start exit: t = {:.3} s", t.as_secs_f64());
             }

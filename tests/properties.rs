@@ -5,9 +5,9 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::time::Duration;
 use suss_repro::suss::{
-    growth_factor, plan_pacing, AckEvent, GrowthInputs, PacingPlan, Suss, SussConfig,
+    growth_factor, plan_pacing, AckEvent, ByteRange, GrowthInputs, Pacer, PacingPlan, RangeSet,
+    RttEstimator, Suss, SussConfig,
 };
-use suss_repro::transport::{ByteRange, Pacer, RangeSet, RttEstimator};
 
 // ---------------------------------------------------------------------------
 // RangeSet vs a naive per-byte model
