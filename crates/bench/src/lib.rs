@@ -177,10 +177,7 @@ impl BenchCli {
                 }
                 "--shard" => {
                     let spec = args.next().unwrap_or_default();
-                    o.shard = match spec.split_once('/').and_then(|(k, n)| {
-                        Some((k.parse().ok()?, n.parse().ok()?))
-                            .filter(|&(k, n): &(usize, usize)| n >= 1 && k < n)
-                    }) {
+                    o.shard = match simrunner::parse_shard(&spec) {
                         Some(kn) => Some(kn),
                         None => {
                             eprintln!("--shard needs K/N with K < N, got {spec:?}");
@@ -335,7 +332,7 @@ impl BenchCli {
         } else if let Some(shards) = self.shards {
             r.executor = ExecSpec::Coordinator {
                 shards,
-                argv: Some(self.child_args.clone()),
+                argv: self.child_args.clone(),
             };
         } else if let Some(shards) = self.merge_shards {
             r.executor = ExecSpec::MergeShards { shards };
@@ -420,5 +417,24 @@ mod tests {
         );
         cli.no_cache = true;
         assert_eq!(cli.runner_with_env(env).cache_dir, None);
+    }
+
+    #[test]
+    fn shard_lease_flag_zero_disables() {
+        let no_env = |_: &str| None;
+        let mut cli = BenchCli {
+            shard_lease_ms: Some(2000),
+            shard_restarts: Some(3),
+            ..BenchCli::default()
+        };
+        let r = cli.runner_with_env(no_env);
+        assert_eq!(r.shard_lease, Some(Duration::from_millis(2000)));
+        assert_eq!(r.shard_restarts, 3);
+        cli.shard_lease_ms = Some(0);
+        assert_eq!(
+            cli.runner_with_env(no_env).shard_lease,
+            None,
+            "0 must disable the lease"
+        );
     }
 }

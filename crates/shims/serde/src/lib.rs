@@ -19,8 +19,9 @@
 //!
 //! Parsing treats its input as untrusted (cache entries and shard
 //! manifests come from disk): it runs in linear time, nests at most
-//! [`MAX_DEPTH`] arrays/objects deep, and answers `None`, never a panic,
-//! on malformed input.
+//! [`MAX_DEPTH`] arrays/objects deep, refuses number literals that
+//! overflow `f64` (they could not render back), and answers `None`, never
+//! a panic, on malformed input.
 
 #![forbid(unsafe_code)]
 
@@ -129,7 +130,8 @@ impl Json {
     }
 
     /// Parse a JSON string. Returns `None` on any syntax error, trailing
-    /// garbage, or nesting deeper than [`MAX_DEPTH`].
+    /// garbage, a number literal beyond the `f64` range, or nesting deeper
+    /// than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
@@ -320,11 +322,13 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Option<Json> {
     if *pos == start {
         return None;
     }
-    std::str::from_utf8(&b[start..*pos])
+    let x = std::str::from_utf8(&b[start..*pos])
         .ok()?
         .parse::<f64>()
-        .ok()
-        .map(Json::Num)
+        .ok()?;
+    // An overflowing literal parses as an infinity, which renders as
+    // `null`: refuse it rather than accept a value that cannot round-trip.
+    x.is_finite().then_some(Json::Num(x))
 }
 
 /// Serialize a value into a [`Json`] tree.
@@ -742,14 +746,14 @@ mod tests {
         let digits = "1".repeat(10_000);
         let fraction = format!("0.{digits}");
         let cases: [(&str, Option<Json>); 8] = [
-            // Overflowing exponents saturate to infinities, which render
-            // back as `null`.
-            ("1e999999", Some(Json::Num(f64::INFINITY))),
-            ("-1e999999", Some(Json::Num(f64::NEG_INFINITY))),
+            // Overflowing literals are refused: as infinities they would
+            // render back as `null`.
+            ("1e999999", None),
+            ("-1e999999", None),
             // Underflow rounds to zero.
             ("1e-400", Some(Json::Num(0.0))),
             ("-0", Some(Json::Num(-0.0))),
-            (&digits, Some(Json::Num(f64::INFINITY))),
+            (&digits, None),
             (&fraction, Some(Json::Num(1.0 / 9.0))),
             ("1e", None),
             ("--1", None),
@@ -764,10 +768,7 @@ mod tests {
             }
         }
         assert_eq!(Json::parse("-0").unwrap().render(), "0");
-        assert_eq!(Json::parse("1e999999").unwrap().render(), "null");
-        assert_eq!(
-            Json::parse(&format!("[{digits}]")).unwrap().render(),
-            "[null]"
-        );
+        assert_eq!(Json::parse(&format!("[{digits}]")), None);
+        assert_eq!(Json::parse("{\"x\":1e999999}"), None);
     }
 }

@@ -3,7 +3,9 @@
 //! Each cell result lives in its own file under
 //! `<cache_dir>/<experiment>/<key>.json`, where `key` is the FNV-1a hash
 //! of (experiment id, version tag, canonical cell params, seed). Entries
-//! embed that identity alongside the value, so a load verifies it matches
+//! embed that identity alongside the value — plus, when the cell reported
+//! any, a `scopes` array of its scope annotations, so a warm run's manifest
+//! matches a cold one's — and a load verifies the identity matches
 //! before trusting the payload — this catches hash collisions, stale
 //! directories, and hand-edited files. Any unreadable, unparsable, or
 //! mismatched entry is treated as a miss; the next store overwrites it.
@@ -22,6 +24,7 @@
 
 use crate::fnv1a64;
 use serde::{Deserialize, Json, Serialize};
+use simtrace::ScopeAnnotation;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -108,6 +111,15 @@ impl Cache {
     /// ([`sweep_lru`]) evicts least-recently-*used* entries, not merely
     /// least-recently-written ones.
     pub fn load<T: Deserialize>(&self, id: &CellIdentity<'_>) -> Option<T> {
+        self.load_with_scopes(id).map(|(value, _)| value)
+    }
+
+    /// [`load`](Self::load), also returning the scope annotations stored
+    /// with the value (empty when the entry has none).
+    pub(crate) fn load_with_scopes<T: Deserialize>(
+        &self,
+        id: &CellIdentity<'_>,
+    ) -> Option<(T, Vec<ScopeAnnotation>)> {
         let path = self.path_for_key(id.key());
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
@@ -142,11 +154,15 @@ impl Cache {
             // overwrites it.
             return None;
         }
-        let value = json
-            .as_obj()
-            .and_then(|obj| Json::field(obj, "value"))
-            .and_then(T::from_json);
-        let Some(value) = value else {
+        let payload = json.as_obj().and_then(|obj| {
+            let value = T::from_json(Json::field(obj, "value")?)?;
+            let scopes = match Json::field(obj, "scopes") {
+                Some(s) => Vec::from_json(s)?,
+                None => Vec::new(),
+            };
+            Some((value, scopes))
+        });
+        let Some(payload) = payload else {
             // Identity matches but the payload doesn't decode: the entry
             // is corrupt for exactly this reader.
             self.quarantine(&path);
@@ -156,12 +172,24 @@ impl Cache {
         if let Ok(file) = fs::File::options().write(true).open(&path) {
             let _ = file.set_modified(std::time::SystemTime::now());
         }
-        Some(value)
+        Some(payload)
     }
 
     /// Store a value under its identity (overwrites any previous entry).
     pub fn store<T: Serialize>(&self, id: &CellIdentity<'_>, value: &T) -> io::Result<()> {
-        let entry = Json::Obj(vec![
+        self.store_with_scopes(id, value, &[])
+    }
+
+    /// [`store`](Self::store) with the cell's scope annotations beside the
+    /// value. An empty list adds nothing, so such an entry is
+    /// byte-identical to a plain [`store`](Self::store).
+    pub(crate) fn store_with_scopes<T: Serialize>(
+        &self,
+        id: &CellIdentity<'_>,
+        value: &T,
+        scopes: &[ScopeAnnotation],
+    ) -> io::Result<()> {
+        let mut fields = vec![
             (
                 "experiment".to_string(),
                 Json::Str(id.experiment.to_string()),
@@ -170,7 +198,12 @@ impl Cache {
             ("params".to_string(), Json::Str(id.params.to_string())),
             ("seed".to_string(), Json::Num(id.seed as f64)),
             ("value".to_string(), value.to_json()),
-        ]);
+        ];
+        if !scopes.is_empty() {
+            let scopes = scopes.iter().map(Serialize::to_json).collect();
+            fields.push(("scopes".to_string(), Json::Arr(scopes)));
+        }
+        let entry = Json::Obj(fields);
         let path = self.path_for_key(id.key());
         let tmp = path.with_extension("tmp");
         fs::write(&tmp, entry.render())?;

@@ -62,17 +62,17 @@ pub enum ExecSpec {
         /// Number of shards the campaign is split into.
         total: usize,
     },
-    /// Split the campaign into `shards` shard runs against the shared
-    /// cache, then merge the shard manifests and reload the results —
-    /// indistinguishable from a single-process run. With `argv: Some`,
-    /// shards run as child processes of the current executable with those
-    /// arguments (plus `SUSS_SHARD=k/N` in the environment); with
-    /// `argv: None` they run in-process, one after another.
+    /// Split the campaign into `shards` shard child processes against
+    /// the shared cache, then merge the shard manifests and reload the
+    /// results — indistinguishable from a single-process run. Each child
+    /// re-executes the current binary with `argv`, plus `SUSS_SHARD=k/N`
+    /// in its environment. (To split a campaign inside one process, run
+    /// [`ExecSpec::Shard`] for each `k`, then [`ExecSpec::MergeShards`].)
     Coordinator {
         /// How many shards to split into.
         shards: usize,
-        /// Child-process arguments, or `None` for in-process shards.
-        argv: Option<Vec<String>>,
+        /// Arguments for each shard child process.
+        argv: Vec<String>,
     },
     /// Merge already-written shard manifests (e.g. from runs on other
     /// machines against the shared cache) without executing anything.
@@ -106,13 +106,15 @@ pub enum ExecSpec {
 /// | `SUSS_PROF` | `0` disables, anything else enables the span profiler |
 /// | `SUSS_FLIGHTREC_DIR` | crash-dump directory (empty disables) |
 /// | `SUSS_SHARD` | `k/N`: run as shard `k` of `N` and exit afterwards |
-/// | `SUSS_SHARD_LEASE_MS` | heartbeat lease on shard children (`0` disables) |
-/// | `SUSS_SHARD_RESTARTS` | dead-shard restart budget before inline reassignment |
 /// | `SUSS_CHAOS_KILL_SHARD` | `k:after_cells` — shard `k` SIGKILLs itself mid-run |
 ///
-/// (`SUSS_TRACE` — the event-trace output path — is consumed by the
-/// bench CLI and `suss-sim`, not by the runner; it selects where traces
-/// go, not how cells execute.)
+/// The coordinator's supervision knobs, [`shard_lease`](Self::shard_lease)
+/// and [`shard_restarts`](Self::shard_restarts), have no variable: only
+/// the coordinator reads them, so they are set where it is started (the
+/// bench CLI's `--shard-lease-ms` / `--shard-restarts` next to
+/// `--shards`). `SUSS_TRACE` — the event-trace output path — is consumed
+/// by the bench CLI and `suss-sim`, not by the runner; it selects where
+/// traces go, not how cells execute.
 #[derive(Debug, Clone)]
 pub struct RunnerOpts {
     /// Worker threads; `0` means `std::thread::available_parallelism()`.
@@ -154,16 +156,16 @@ pub struct RunnerOpts {
     /// runs.
     pub executor: ExecSpec,
     /// Path stem for campaign manifests (shard manifests land at
-    /// `<stem>.shard<k>of<N>.manifest.json`, the shard plan at
-    /// `<stem>.shardplan.json`). `None` defaults to
+    /// `<stem>.shard<k>of<N>.manifest.json`, heartbeats at
+    /// `<stem>.shard<k>of<N>.heartbeat.json`). `None` defaults to
     /// `results/<experiment>`.
     pub manifest_stem: Option<PathBuf>,
     /// Whether a [`ExecSpec::Shard`] run exits the process after writing
     /// its shard manifest (exit code 0, or 3 when cells failed). Set when
     /// sharding comes from `SUSS_SHARD` — a shard child must not fall
     /// through into the bin's figure rendering on partial results.
-    /// In-process shard runs (tests, the in-process coordinator)
-    /// leave this `false`.
+    /// In-process shard runs (tests, merge-time recovery) leave this
+    /// `false`.
     pub shard_exit: bool,
     /// Heartbeat lease for shard children (coordinator): a shard whose
     /// progress epoch has not advanced for this long is declared dead —
@@ -300,19 +302,6 @@ impl RunnerOpts {
         self
     }
 
-    /// Set the shard heartbeat lease (see [`RunnerOpts::shard_lease`]).
-    pub fn with_shard_lease(mut self, lease: Duration) -> Self {
-        self.shard_lease = Some(lease);
-        self
-    }
-
-    /// Set the dead-shard restart budget
-    /// (see [`RunnerOpts::shard_restarts`]).
-    pub fn with_shard_restarts(mut self, restarts: u32) -> Self {
-        self.shard_restarts = restarts;
-        self
-    }
-
     /// Apply the `SUSS_*` environment overrides on top of these options
     /// (see the [type docs](RunnerOpts) for the variable table), warning
     /// on stderr about malformed values.
@@ -401,18 +390,6 @@ impl RunnerOpts {
                 None => warn("SUSS_SHARD", &s, "`k/N` with k < N"),
             }
         }
-        if let Some(ms) = get("SUSS_SHARD_LEASE_MS") {
-            match ms.parse::<u64>() {
-                Ok(ms) => self.shard_lease = (ms > 0).then(|| Duration::from_millis(ms)),
-                Err(_) => warn("SUSS_SHARD_LEASE_MS", &ms, "milliseconds (0 disables)"),
-            }
-        }
-        if let Some(r) = get("SUSS_SHARD_RESTARTS") {
-            match r.parse() {
-                Ok(r) => self.shard_restarts = r,
-                Err(_) => warn("SUSS_SHARD_RESTARTS", &r, "a restart budget"),
-            }
-        }
         if let Some(spec) = get("SUSS_CHAOS_KILL_SHARD") {
             match parse_kill_shard(&spec) {
                 Some(v) => self.chaos_kill_shard = Some(v),
@@ -448,8 +425,9 @@ fn parse_kill_shard(s: &str) -> Option<(usize, u64)> {
     Some((k.trim().parse().ok()?, after.trim().parse().ok()?))
 }
 
-/// Parse `SUSS_SHARD`-style `k/N` shard coordinates.
-fn parse_shard(s: &str) -> Option<(usize, usize)> {
+/// Parse `k/N` shard coordinates (`SUSS_SHARD`, and the bench CLI's
+/// `--shard`): `None` unless both are integers with `k < N`.
+pub fn parse_shard(s: &str) -> Option<(usize, usize)> {
     let (k, n) = s.split_once('/')?;
     let (k, n) = (
         k.trim().parse::<usize>().ok()?,
@@ -849,8 +827,6 @@ mod tests {
             ("SUSS_CELL_RETRIES", "2"),
             ("SUSS_PROF", "1"),
             ("SUSS_FLIGHTREC_DIR", "/tmp/frec"),
-            ("SUSS_SHARD_LEASE_MS", "2000"),
-            ("SUSS_SHARD_RESTARTS", "3"),
             ("SUSS_CHAOS_KILL_SHARD", "1:5"),
         ]));
         assert!(warnings.is_empty(), "{warnings:?}");
@@ -865,17 +841,7 @@ mod tests {
         assert!(opts.profile);
         assert_eq!(opts.flightrec_dir.as_deref(), Some(Path::new("/tmp/frec")));
         assert!(!opts.shard_exit);
-        assert_eq!(opts.shard_lease, Some(Duration::from_millis(2000)));
-        assert_eq!(opts.shard_restarts, 3);
         assert_eq!(opts.chaos_kill_shard, Some((1, 5)));
-    }
-
-    #[test]
-    fn apply_env_lease_zero_disables() {
-        let base = RunnerOpts::default().with_shard_lease(Duration::from_secs(5));
-        let (opts, warnings) = base.apply_env(env_of(&[("SUSS_SHARD_LEASE_MS", "0")]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(opts.shard_lease, None, "0 must disable the lease");
     }
 
     #[test]
@@ -902,11 +868,9 @@ mod tests {
             ("SUSS_STALL_TIMEOUT_MS", "1e3"),
             ("SUSS_CELL_RETRIES", "2.5"),
             ("SUSS_SHARD", "4/4"),
-            ("SUSS_SHARD_LEASE_MS", "soonish"),
-            ("SUSS_SHARD_RESTARTS", "-1"),
             ("SUSS_CHAOS_KILL_SHARD", "whenever"),
         ]));
-        assert_eq!(warnings.len(), 9, "{warnings:?}");
+        assert_eq!(warnings.len(), 7, "{warnings:?}");
         for w in &warnings {
             assert!(w.starts_with("ignoring SUSS_"), "{w}");
         }
@@ -916,8 +880,6 @@ mod tests {
         assert_eq!(opts.cell_timeout, None);
         assert_eq!(opts.executor, ExecSpec::Pool);
         assert!(!opts.shard_exit);
-        assert_eq!(opts.shard_lease, None);
-        assert_eq!(opts.shard_restarts, 1, "default restart budget survives");
         assert_eq!(opts.chaos_kill_shard, None);
     }
 

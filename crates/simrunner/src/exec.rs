@@ -14,9 +14,9 @@
 //! * the distributed path — a shard (`ExecSpec::Shard`) computes only the
 //!   cells it owns (round-robin by index, see [`ShardInfo::owns`]) on the
 //!   pool against the shared cache and writes a shard manifest; the
-//!   coordinator (`ExecSpec::Coordinator`) runs N shards (child processes
-//!   or in-process), and it and `ExecSpec::MergeShards` merge the shard
-//!   manifests with [`RunManifest::merge_shards`], reload the results
+//!   coordinator (`ExecSpec::Coordinator`) runs N shard child processes,
+//!   and it and `ExecSpec::MergeShards` merge the shard manifests with
+//!   [`RunManifest::merge_shards`], reload the results
 //!   from the shared cache, and return a report indistinguishable from a
 //!   single-process run — same results, same manifest fingerprint.
 //!
@@ -35,13 +35,12 @@ use crate::campaign::{
 use crate::manifest::{
     shard_heartbeat_path, shard_manifest_path, CellRecord, CellStatus, RunManifest, ShardInfo,
 };
-use crate::pool::BoundedQueue;
 use crate::progress::{read_heartbeat, Heartbeat, Progress};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -89,7 +88,7 @@ impl Executor {
                 f,
             ),
             ExecSpec::Coordinator { shards, argv } => {
-                run_coordinator(campaign, opts, *shards, argv.as_deref(), f)
+                run_coordinator(campaign, opts, *shards, argv, f)
             }
             ExecSpec::MergeShards { shards } => run_merge(campaign, opts, *shards, f),
         }
@@ -126,9 +125,11 @@ struct Prepared<T> {
     /// Liveness publisher for shard runs (see [`Heartbeat`]); `None` for
     /// pool runs.
     heartbeat: Option<Heartbeat>,
+    tallies: Tallies,
 }
 
-/// Failure/observability tallies from the compute phase.
+/// Failure/observability tallies: scope annotations restored from cache
+/// hits, then everything the compute phase adds.
 #[derive(Default)]
 struct Tallies {
     failed: usize,
@@ -165,6 +166,7 @@ fn prepare<T: Deserialize>(
     });
     let mut pending: Vec<usize> = Vec::new();
     let mut skipped = 0usize;
+    let mut tallies = Tallies::default();
     for cell in &campaign.cells {
         if !owns(cell.index) {
             records[cell.index].status = CellStatus::Skipped;
@@ -176,11 +178,12 @@ fn prepare<T: Deserialize>(
         } else {
             cache
                 .as_ref()
-                .and_then(|c| c.load::<T>(&campaign.identity(cell)))
+                .and_then(|c| c.load_with_scopes::<T>(&campaign.identity(cell)))
         };
         match hit {
-            Some(v) => {
+            Some((v, scopes)) => {
                 results[cell.index] = Some(v);
+                tallies.scopes.extend(scopes);
                 records[cell.index].cached = true;
                 progress.tick(true);
             }
@@ -203,6 +206,7 @@ fn prepare<T: Deserialize>(
         progress,
         shard,
         heartbeat,
+        tallies,
     }
 }
 
@@ -213,11 +217,10 @@ fn finish<T: Serialize>(
     campaign: &Campaign,
     opts: &RunnerOpts,
     exec_label: String,
-    shard: Option<ShardInfo>,
     prep: Prepared<T>,
-    tallies: Tallies,
     raise: bool,
 ) -> CampaignReport<T> {
+    let tallies = prep.tallies;
     prep.progress.finish();
     campaign.sweep_cache(opts);
     let quarantined = prep
@@ -228,7 +231,7 @@ fn finish<T: Serialize>(
     let digest = results_digest_of(&prep.results, &prep.records);
     let mut manifest = campaign.assemble_manifest(ManifestParts {
         executor: exec_label,
-        shard,
+        shard: prep.shard,
         workers: prep.workers,
         cache_hits: prep.cache_hits,
         cells_skipped: prep.skipped,
@@ -311,26 +314,20 @@ where
     F: Fn(&Cell) -> T + Send + Sync + 'static,
 {
     let mut prep = prepare::<T>(campaign, opts, None);
-    let tallies = run_pool_phase(campaign, opts, &mut prep, f);
+    run_pool_phase(campaign, opts, &mut prep, f);
     let raise = opts.on_failure == FailurePolicy::Raise;
-    finish(campaign, opts, "pool".into(), None, prep, tallies, raise)
+    finish(campaign, opts, "pool".into(), prep, raise)
 }
 
 /// Phase 2 of the pool and of a shard: compute `prep.pending` on
 /// detached workers under the watchdog loop.
-fn run_pool_phase<T, F>(
-    campaign: &Campaign,
-    opts: &RunnerOpts,
-    prep: &mut Prepared<T>,
-    f: F,
-) -> Tallies
+fn run_pool_phase<T, F>(campaign: &Campaign, opts: &RunnerOpts, prep: &mut Prepared<T>, f: F)
 where
     T: Serialize + Deserialize + Send + 'static,
     F: Fn(&Cell) -> T + Send + Sync + 'static,
 {
-    let mut tallies = Tallies::default();
     if prep.pending.is_empty() {
-        return tallies;
+        return;
     }
     let n = campaign.cells.len();
     // `SUSS_CHAOS_KILL_SHARD` propagates to every process in the tree
@@ -347,6 +344,7 @@ where
     let cache = &prep.cache;
     let progress = &mut prep.progress;
     let heartbeat = &mut prep.heartbeat;
+    let tallies = &mut prep.tallies;
     // The heartbeat epoch is `cells done + hb_base + Σ live in-flight
     // sinks`: hb_base folds in each attempt's final sink reading when it
     // leaves the in-flight map, keeping the epoch monotone as sinks come
@@ -373,30 +371,40 @@ where
         index: usize,
         sink: Arc<AtomicU64>,
         recorder: Option<simtrace::FlightRecorder>,
-        started: Option<Instant>,
-        progress_seen: u64,
-        progress_at: Instant,
+        /// Set once a worker picks the cell up: when it started (for the
+        /// wall budget) and the stall lease over its progress sink.
+        running: Option<(Instant, LeaseClock)>,
     }
 
     let cells = Arc::new(campaign.cells.clone());
     let f = Arc::new(f);
-    // Effectively unbounded: tokens are tiny, and the watchdog must never
-    // block on a full queue.
-    let work: Arc<BoundedQueue<Dispatch>> = Arc::new(BoundedQueue::new(usize::MAX));
+    // The work queue: workers share the receiver, and dropping `work`
+    // closes it. Replacement workers pull from the same receiver.
+    let (work, work_rx) = mpsc::channel::<Dispatch>();
+    let work_rx = Arc::new(Mutex::new(work_rx));
     let (tx, rx) = mpsc::channel::<Msg<T>>();
     let spawn_worker = {
-        let work = Arc::clone(&work);
+        let work_rx = Arc::clone(&work_rx);
         let cells = Arc::clone(&cells);
         let f = Arc::clone(&f);
         let tx = tx.clone();
         let profile = opts.profile;
         move || {
-            let work = Arc::clone(&work);
+            let work_rx = Arc::clone(&work_rx);
             let cells = Arc::clone(&cells);
             let f = Arc::clone(&f);
             let tx = tx.clone();
             thread::spawn(move || {
-                while let Some(d) = work.pop() {
+                // The guard lives only inside `next`, so a running (or
+                // hung) cell never holds the queue. Nothing panics under
+                // the lock, so poisoning is noise.
+                let next = || {
+                    work_rx
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .recv()
+                };
+                while let Ok(d) = next() {
                     // The per-cell progress sink lets the main thread
                     // distinguish "slow but advancing" from "livelocked"
                     // without touching the simulation; the flight
@@ -441,7 +449,7 @@ where
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         index: usize,
-        work: &BoundedQueue<Dispatch>,
+        work: &mpsc::Sender<Dispatch>,
         next_token: &mut u64,
         attempts: &mut [u32],
         records: &mut [CellRecord],
@@ -472,12 +480,12 @@ where
                 index,
                 sink: Arc::clone(&sink),
                 recorder: recorder.clone(),
-                started: None,
-                progress_seen: 0,
-                progress_at: Instant::now(),
+                running: None,
             },
         );
-        work.push(Dispatch {
+        // The workers hold the receiver for as long as this sender lives,
+        // so the send cannot fail.
+        let _ = work.send(Dispatch {
             token,
             index,
             sink,
@@ -522,9 +530,9 @@ where
             Ok(Msg::Started { token }) => {
                 if let Some(fl) = inflight.get_mut(&token) {
                     let now = Instant::now();
-                    fl.started = Some(now);
-                    fl.progress_at = now;
-                    fl.progress_seen = fl.sink.load(Ordering::Relaxed);
+                    let mut lease = LeaseClock::new(opts.stall_timeout, now);
+                    lease.observe(Some(fl.sink.load(Ordering::Relaxed)), now);
+                    fl.running = Some((now, lease));
                 }
             }
             Ok(Msg::Done { token, outcome }) => {
@@ -540,7 +548,8 @@ where
                     Ok((v, tel)) => {
                         if let Some(c) = cache {
                             // A failed store only costs a future miss.
-                            let _ = c.store(&campaign.identity(&campaign.cells[idx]), &v);
+                            let id = campaign.identity(&campaign.cells[idx]);
+                            let _ = c.store_with_scopes(&id, &v, &tel.scopes);
                         }
                         records[idx].wall_ms = tel.wall_ms;
                         records[idx].events = tel.events;
@@ -592,23 +601,18 @@ where
         let now = Instant::now();
         let mut expired: Vec<(u64, String)> = Vec::new();
         for (&token, fl) in inflight.iter_mut() {
-            let Some(cell_started) = fl.started else {
+            let Some((cell_started, lease)) = fl.running.as_mut() else {
                 continue;
             };
             if let Some(limit) = opts.cell_timeout {
-                if now.duration_since(cell_started) > limit {
+                if now.duration_since(*cell_started) > limit {
                     expired.push((token, format!("wall-clock budget exceeded ({limit:?})")));
                     continue;
                 }
             }
-            if let Some(stall) = opts.stall_timeout {
-                let cur = fl.sink.load(Ordering::Relaxed);
-                if cur != fl.progress_seen {
-                    fl.progress_seen = cur;
-                    fl.progress_at = now;
-                } else if now.duration_since(fl.progress_at) > stall {
-                    expired.push((token, format!("no simulator progress for {stall:?}")));
-                }
+            if lease.observe(Some(fl.sink.load(Ordering::Relaxed)), now) {
+                let stall = opts.stall_timeout.unwrap_or_default();
+                expired.push((token, format!("no simulator progress for {stall:?}")));
             }
         }
         for (token, msg) in expired {
@@ -642,7 +646,7 @@ where
             hb.beat(progress.done() as u64 + hb_base + live);
         }
     }
-    work.close();
+    drop(work);
     drop(tx);
 
     // Defensive: if the channel disconnected early (no live workers),
@@ -654,7 +658,6 @@ where
             tallies.failed += 1;
         }
     }
-    tallies
 }
 
 // ---------------------------------------------------------------------------
@@ -684,9 +687,9 @@ where
     F: Fn(&Cell) -> T + Send + Sync + 'static,
 {
     let mut prep = prepare::<T>(campaign, opts, Some(shard));
-    let tallies = run_pool_phase(campaign, opts, &mut prep, f);
+    run_pool_phase(campaign, opts, &mut prep, f);
     let label = format!("shard {}/{}", shard.index, shard.total);
-    let report = finish(campaign, opts, label, Some(shard), prep, tallies, false);
+    let report = finish(campaign, opts, label, prep, false);
     let stem = opts.stem_for(&campaign.experiment);
     let path = shard_manifest_path(&stem, shard.index, shard.total);
     if let Err(e) = report.manifest.write(&path) {
@@ -706,16 +709,15 @@ where
 }
 
 /// Splits a campaign into `shards` shards against the shared cache, runs
-/// them (as child processes re-executing the current binary with
-/// `SUSS_SHARD=k/N`, or in-process when `argv` is `None`), merges the
-/// shard manifests, and reloads the full result set from the cache —
-/// returning a report whose results and manifest fingerprint are
-/// identical to a single-process run. Without a cache dir it degrades to
-/// the pool with a warning.
+/// them as child processes re-executing the current binary with `argv`
+/// and `SUSS_SHARD=k/N`, merges the shard manifests, and reloads the
+/// full result set from the cache — returning a report whose results and
+/// manifest fingerprint are identical to a single-process run. Without a
+/// cache dir it degrades to the pool with a warning.
 ///
 /// The coordinator is self-healing. Child shards are supervised through
 /// their heartbeat files: a shard whose progress epoch freezes past the
-/// lease ([`RunnerOpts::with_shard_lease`]) is killed, and a dead shard
+/// lease ([`RunnerOpts::shard_lease`]) is killed, and a dead shard
 /// (lease expiry or abnormal exit — [`SHARD_FAILED_EXIT`] is *normal*)
 /// is restarted with linear backoff up to its restart budget. Whatever
 /// still has no usable manifest at merge time has its remaining cells
@@ -727,7 +729,7 @@ fn run_coordinator<T, F>(
     campaign: &Campaign,
     opts: &RunnerOpts,
     shards: usize,
-    argv: Option<&[String]>,
+    argv: &[String],
     f: F,
 ) -> CampaignReport<T>
 where
@@ -744,7 +746,6 @@ where
     }
     let total = shards.max(1);
     let stem = opts.stem_for(&campaign.experiment);
-    write_shard_plan(&stem, campaign, total, opts);
     // Remove leftover shard manifests and heartbeats first: a stale
     // one would masquerade as this run's output (or liveness) if its
     // shard died.
@@ -752,20 +753,9 @@ where
         let _ = std::fs::remove_file(shard_manifest_path(&stem, k, total));
         let _ = std::fs::remove_file(shard_heartbeat_path(&stem, k, total));
     }
-    let f = Arc::new(f);
-    let sup = match argv {
-        Some(argv) => run_shard_children(total, argv, opts, &stem),
-        None => {
-            for k in 0..total {
-                let fk = Arc::clone(&f);
-                let shard = ShardInfo { index: k, total };
-                let _ = run_shard(campaign, opts, shard, false, move |cell: &Cell| fk(cell));
-            }
-            ShardSupervision::default()
-        }
-    };
+    let sup = run_shard_children(total, argv, opts, &stem);
     let label = format!("coordinator({total} shards)");
-    merge_and_load(campaign, opts, started, total, label, f, sup)
+    merge_and_load(campaign, opts, started, total, label, Arc::new(f), sup)
 }
 
 /// Merges already-written shard manifests (e.g. from shard runs driven
@@ -813,10 +803,11 @@ fn chaos_sigkill_self(shard: Option<ShardInfo>, computed: u64) -> ! {
     std::process::abort();
 }
 
-/// Stall-aware liveness lease over a shard's heartbeat epoch: the lease
-/// window restarts on every epoch *change* (including the first
-/// observation), so a slow-but-advancing shard never expires — only one
-/// whose epoch froze for longer than the lease.
+/// Stall-aware liveness lease over a progress epoch — a shard's heartbeat
+/// epoch in the coordinator, an in-flight cell's progress sink in the
+/// pool. The lease window restarts on every epoch *change* (including the
+/// first observation), so slow-but-advancing work never expires — only
+/// work whose epoch froze for longer than the lease.
 #[derive(Debug)]
 pub struct LeaseClock {
     lease: Option<Duration>,
@@ -834,7 +825,7 @@ impl LeaseClock {
         }
     }
 
-    /// Feed the latest heartbeat observation (`None` = no heartbeat file
+    /// Feed the latest epoch observation (`None` = no heartbeat file
     /// yet); returns `true` when the lease has expired.
     pub fn observe(&mut self, epoch: Option<u64>, now: Instant) -> bool {
         if epoch != self.last_epoch {
@@ -1204,70 +1195,11 @@ fn quarantine_shard_manifest(path: &Path, why: &str) {
     }
 }
 
-/// Remove the coordination scratch files (heartbeats and the shard
-/// plan) after a fully-successful merge. Shard manifests stay — they
-/// are run artifacts, not scratch.
+/// Remove the heartbeat files after a fully-successful merge. Shard
+/// manifests stay — they are run artifacts, not scratch.
 fn cleanup_shard_scratch(stem: &Path, total: usize) {
     for k in 0..total {
         let _ = std::fs::remove_file(shard_heartbeat_path(stem, k, total));
-    }
-    let name = stem
-        .file_name()
-        .map(|s| s.to_string_lossy())
-        .unwrap_or_default();
-    let _ = std::fs::remove_file(stem.with_file_name(format!("{name}.shardplan.json")));
-}
-
-/// The machine-readable shard plan written by the coordinator to
-/// `<stem>.shardplan.json`: what was split, how, and where the shard
-/// manifests will land — so external drivers (other machines sharing the
-/// cache) can run shards themselves and merge later.
-#[derive(Debug, Clone, Serialize)]
-struct ShardPlan {
-    experiment: String,
-    version: String,
-    total_cells: usize,
-    shards: usize,
-    cache_dir: String,
-    cells_per_shard: Vec<usize>,
-    shard_manifests: Vec<String>,
-}
-
-/// Write the shard plan next to the manifests. Failure only warns — the
-/// plan is documentation, not coordination state.
-fn write_shard_plan(stem: &Path, campaign: &Campaign, total: usize, opts: &RunnerOpts) {
-    let plan = ShardPlan {
-        experiment: campaign.experiment.clone(),
-        version: campaign.version.clone(),
-        total_cells: campaign.cells.len(),
-        shards: total,
-        cache_dir: opts
-            .cache_dir
-            .as_deref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_default(),
-        cells_per_shard: (0..total)
-            .map(|k| {
-                let s = ShardInfo { index: k, total };
-                (0..campaign.cells.len()).filter(|&i| s.owns(i)).count()
-            })
-            .collect(),
-        shard_manifests: (0..total)
-            .map(|k| shard_manifest_path(stem, k, total).display().to_string())
-            .collect(),
-    };
-    let name = stem
-        .file_name()
-        .map(|s| s.to_string_lossy())
-        .unwrap_or_default();
-    let path = stem.with_file_name(format!("{name}.shardplan.json"));
-    let write = path
-        .parent()
-        .map(std::fs::create_dir_all)
-        .unwrap_or(Ok(()))
-        .and_then(|_| std::fs::write(&path, serde::to_string(&plan) + "\n"));
-    if let Err(e) = write {
-        eprintln!("warning: cannot write shard plan {}: {e}", path.display());
     }
 }
 
@@ -1605,6 +1537,49 @@ mod tests {
             .scope_annotations
             .iter()
             .any(|a| a.label == "scope/cell-2/queue_depth" && a.n == 12));
+    }
+
+    #[test]
+    fn warm_cache_restores_scope_annotations() {
+        let dir =
+            std::env::temp_dir().join(format!("simrunner-scopes-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = demo_campaign(4);
+        let opts = RunnerOpts::default().with_workers(2).with_cache(&dir);
+        let run = || {
+            c.run(&opts.executor(), |cell| {
+                if cell.seed % 2 == 0 {
+                    simtrace::runtime::add_scope_annotation(simtrace::ScopeAnnotation {
+                        label: format!("scope/{}/queue_depth", cell.label),
+                        n: 10 + cell.seed,
+                        p50: 0.25,
+                        p90: 0.5,
+                        p99: 0.75,
+                        p999: 1.0,
+                    });
+                }
+                cell.seed
+            })
+        };
+        let cold = run();
+        let warm = run();
+        assert_eq!(cold.manifest.cache_hits, 0);
+        assert_eq!(
+            warm.manifest.cache_hits, 4,
+            "the warm run must not recompute"
+        );
+        assert_eq!(cold.manifest.scope_annotations.len(), 2);
+        assert_eq!(
+            warm.manifest.scope_annotations,
+            cold.manifest.scope_annotations
+        );
+        assert_eq!(warm.manifest.fingerprint, cold.manifest.fingerprint);
+        // Cells without scopes keep the plain entry envelope.
+        let id = c.identity(&c.cells[1]);
+        let cache = crate::cache::Cache::open(&dir, &c.experiment).unwrap();
+        let entry = std::fs::read_to_string(cache.entry_path(&id)).unwrap();
+        assert!(!entry.contains("scopes"), "{entry}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

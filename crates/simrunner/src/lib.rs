@@ -66,13 +66,17 @@
 //! for seed in 0..28 {
 //!     c.cell(format!("cell-{seed}"), format!("x={seed}"), seed);
 //! }
-//! // Split into 2 shards against a shared cache; in-process here, or
-//! // pass `argv: Some(...)` to re-exec the current binary per shard
-//! // (`SUSS_SHARD=k/N` in each child selects its slice).
-//! let opts = RunnerOpts::default()
-//!     .with_cache("/tmp/suss-cache")
-//!     .with_executor(ExecSpec::Coordinator { shards: 2, argv: None });
-//! let out = c.run(&opts.executor(), |cell| cell.seed as f64);
+//! // Split into 2 shards against a shared cache. Each shard run may live
+//! // in its own process or on its own machine; `ExecSpec::Coordinator`
+//! // spawns them as child processes of the current binary instead.
+//! let opts = RunnerOpts::default().with_cache("/tmp/suss-cache");
+//! for index in 0..2 {
+//!     let shard = opts.clone().with_executor(ExecSpec::Shard { index, total: 2 });
+//!     c.run(&shard.executor(), |cell| cell.seed as f64);
+//! }
+//! // Merge the two shard manifests and reload every result from the cache.
+//! let merge = opts.with_executor(ExecSpec::MergeShards { shards: 2 });
+//! let out = c.run(&merge.executor(), |cell| cell.seed as f64);
 //! assert_eq!(out.manifest.total_cells, 28);
 //! ```
 
@@ -83,12 +87,11 @@ pub mod cache;
 pub mod campaign;
 pub mod exec;
 pub mod manifest;
-pub mod pool;
 pub mod progress;
 
 pub use cache::{sweep_lru, Cache, CellIdentity, SweepStats};
 pub use campaign::{
-    parse_bytes, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
+    parse_bytes, parse_shard, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
 };
 pub use exec::{Executor, LeaseClock, SHARD_FAILED_EXIT};
 pub use manifest::{

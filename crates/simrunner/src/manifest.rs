@@ -17,6 +17,13 @@ use simtrace::{ProfSnapshot, ScopeAnnotation};
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// A named percentile summary attached to a manifest — one per (scenario,
+/// cc, load, flow-size bucket) group in fleet campaigns, so the FCT
+/// percentile curves are machine-readable without reparsing the rendered
+/// table (percentiles in seconds). The same struct carries the scope
+/// summaries cells report, so both manifest lists share one shape.
+pub use simtrace::ScopeAnnotation as FctAnnotation;
+
 /// How a cell's execution ended.
 ///
 /// The cell lifecycle is: dispatched → (panic → bounded retries) →
@@ -122,26 +129,6 @@ pub struct CellRecord {
     /// Path of the flight-recorder dump written when this cell terminally
     /// panicked or timed out; empty when no dump exists.
     pub flightrec: String,
-}
-
-/// A named FCT-percentile summary attached to a manifest — one per
-/// (scenario, cc, load, flow-size bucket) group in fleet campaigns, so
-/// the percentile curves are machine-readable without reparsing the
-/// rendered table. Percentiles are in seconds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FctAnnotation {
-    /// Group label, e.g. `fleet/4G/cubic+suss/load0.6/<=2MB`.
-    pub label: String,
-    /// Flows aggregated into this group.
-    pub n: u64,
-    /// Median flow-completion time, seconds.
-    pub p50: f64,
-    /// 90th-percentile FCT, seconds.
-    pub p90: f64,
-    /// 99th-percentile FCT, seconds.
-    pub p99: f64,
-    /// 99.9th-percentile FCT, seconds.
-    pub p999: f64,
 }
 
 /// The record of one [`Campaign::run`](crate::Campaign::run).

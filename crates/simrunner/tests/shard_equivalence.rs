@@ -58,15 +58,26 @@ fn render(results: &[Option<f64>]) -> String {
         .collect()
 }
 
-fn coordinator_opts(dir: &Path, shards: usize) -> RunnerOpts {
+/// Options sharing one cache and manifest stem under `dir`.
+fn shared_opts(dir: &Path) -> RunnerOpts {
     RunnerOpts::serial()
         .with_cache(dir.join("cache"))
         .with_manifest_stem(dir.join("run"))
-        .with_executor(ExecSpec::Coordinator { shards, argv: None })
 }
 
+/// Run every shard of a `shards`-way split in turn, then merge them — what
+/// the coordinator's children and its merge phase do, in one process.
 fn run_sharded(c: &Campaign, dir: &Path, shards: usize) -> CampaignReport<f64> {
-    c.run(&coordinator_opts(dir, shards).executor(), cell_value)
+    let opts = shared_opts(dir);
+    for index in 0..shards {
+        let shard = ExecSpec::Shard {
+            index,
+            total: shards,
+        };
+        c.run(&opts.clone().with_executor(shard).executor(), cell_value);
+    }
+    let merge = opts.with_executor(ExecSpec::MergeShards { shards });
+    c.run(&merge.executor(), cell_value)
 }
 
 #[test]
@@ -82,10 +93,7 @@ fn sharded_runs_match_single_process_cold_and_warm() {
         let dir = tempdir(&format!("simrunner-shardeq-{shards}"));
         // Cold: every cell computed by exactly one shard.
         let cold = run_sharded(&c, &dir, shards);
-        assert_eq!(
-            cold.manifest.executor,
-            format!("coordinator({shards} shards)")
-        );
+        assert_eq!(cold.manifest.executor, format!("merged({shards} shards)"));
         assert_eq!(cold.manifest.cache_hits, 0, "{shards} shards cold");
         assert_eq!(cold.manifest.cache_misses, c.len());
         assert_eq!(cold.manifest.cells_skipped, 0, "merge covers every cell");
@@ -141,13 +149,9 @@ fn shard_manifests_carry_ownership_and_merge_covers_everything() {
             );
         }
     }
-    // Coordination scratch (shard plan, heartbeats) is cleaned up after
-    // a fully-successful merge; the shard manifests above are artifacts
-    // and stay.
-    assert!(
-        !dir.join("run.shardplan.json").exists(),
-        "shard plan must be removed on success"
-    );
+    // Coordination scratch (heartbeats) is cleaned up after a
+    // fully-successful merge; the shard manifests above are artifacts and
+    // stay.
     for k in 0..2usize {
         let hb = shard_heartbeat_path(&stem, k, 2);
         assert!(
@@ -163,7 +167,7 @@ fn shard_manifests_carry_ownership_and_merge_covers_everything() {
 fn killed_shard_is_reassigned_at_merge_time() {
     let dir = tempdir("simrunner-shardeq-resume");
     let c = campaign();
-    let opts = coordinator_opts(&dir, 2);
+    let opts = shared_opts(&dir);
 
     // Phase 1: only shard 0 runs (the "other machine died" scenario) —
     // its results are in the shared cache, its manifest on disk.
@@ -206,8 +210,8 @@ fn killed_shard_is_reassigned_at_merge_time() {
     assert_eq!(render(&recovered.results), render(&fresh.results));
     assert_eq!(fresh.manifest.cells_reassigned, 0);
 
-    // Phase 2: re-running the full coordinator over the now-warm cache
-    // is a pure resume — every cell is a hit, nothing is reassigned.
+    // Phase 2: re-running every shard and the merge over the now-warm
+    // cache is a pure resume — every cell is a hit, nothing is reassigned.
     let resumed = run_sharded(&c, &dir, 2);
     assert!(resumed.all_ok());
     assert_eq!(resumed.manifest.cache_hits, c.len());
@@ -228,7 +232,7 @@ fn corrupt_shard_manifest_is_quarantined_and_reassigned() {
     let path = shard_manifest_path(&stem, 1, 2);
     std::fs::write(&path, "{\"experiment\":\"shard-eq-it\",\"cells\":[tru").unwrap();
 
-    let merge_opts = coordinator_opts(&dir, 2).with_executor(ExecSpec::MergeShards { shards: 2 });
+    let merge_opts = shared_opts(&dir).with_executor(ExecSpec::MergeShards { shards: 2 });
     let merged = c.run(&merge_opts.executor(), cell_value);
     assert!(
         merged.all_ok(),
@@ -263,7 +267,7 @@ fn mismatched_campaign_version_shard_is_quarantined_and_reassigned() {
     stale.version = "v0-stale".to_string();
     stale.write(&path).expect("rewrite stale manifest");
 
-    let merge_opts = coordinator_opts(&dir, 2).with_executor(ExecSpec::MergeShards { shards: 2 });
+    let merge_opts = shared_opts(&dir).with_executor(ExecSpec::MergeShards { shards: 2 });
     let merged = c.run(&merge_opts.executor(), cell_value);
     assert!(merged.all_ok());
     assert_eq!(merged.manifest.fingerprint, healthy.manifest.fingerprint);

@@ -73,12 +73,6 @@ pub struct TraceRecord {
     pub rtt_ns: Option<u64>,
     /// Smoothed RTT in nanoseconds.
     pub srtt_ns: Option<u64>,
-    /// Link id, for per-packet records.
-    pub link: Option<u64>,
-    /// Packet size in bytes, for per-packet records.
-    pub size: Option<u64>,
-    /// Packet id, for per-packet records.
-    pub packet_id: Option<u64>,
     /// Metric name, for counter/gauge records.
     pub name: Option<String>,
     /// Generic numeric payload (growth factor, metric value, …).
@@ -128,16 +122,6 @@ impl TraceRecord {
         }
     }
 
-    /// A per-flow CC decision record (`kind` is one of the `cc_*`,
-    /// [`kind::HYSTART`], or [`kind::SUSS_ROUND`] kinds); `reason`
-    /// carries the decision code.
-    pub fn decision(t_ns: u64, flow: u64, kind: &str, reason: &str) -> Self {
-        TraceRecord {
-            reason: Some(reason.to_string()),
-            ..TraceRecord::event(t_ns, flow, kind)
-        }
-    }
-
     /// A counter or gauge total (`kind` is [`kind::COUNTER`] or
     /// [`kind::GAUGE`]).
     pub fn metric(t_ns: u64, kind: &str, name: &str, value: u64) -> Self {
@@ -162,53 +146,6 @@ impl TraceRecord {
     pub fn is_metric(&self) -> bool {
         self.kind == kind::COUNTER || self.kind == kind::GAUGE
     }
-
-    /// Header row matching [`TraceRecord::csv_row`].
-    pub const CSV_HEADER: &'static str = "t_ns,kind,flow,run,cwnd,inflight,delivered,rtt_ns,\
-         srtt_ns,link,size,packet_id,name,value,reason";
-
-    /// Quote one CSV field per RFC 4180: fields containing a comma, a
-    /// double quote, or a line break are wrapped in double quotes with
-    /// internal quotes doubled; everything else passes through verbatim.
-    ///
-    /// Every CSV emitter in the workspace (`csv_row`, and through it
-    /// `CsvSink` and `suss-trace dump --csv`) funnels through here, so
-    /// free-text fields like `reason` cannot corrupt row structure.
-    pub fn csv_quote(field: &str) -> String {
-        if field.contains([',', '"', '\n', '\r']) {
-            format!("\"{}\"", field.replace('"', "\"\""))
-        } else {
-            field.to_string()
-        }
-    }
-
-    /// Render as one CSV row (empty cells for absent fields).
-    pub fn csv_row(&self) -> String {
-        fn cell<T: ToString>(v: &Option<T>) -> String {
-            v.as_ref().map(T::to_string).unwrap_or_default()
-        }
-        fn text(v: &Option<String>) -> String {
-            v.as_deref().map(TraceRecord::csv_quote).unwrap_or_default()
-        }
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.t_ns,
-            Self::csv_quote(&self.kind),
-            cell(&self.flow),
-            text(&self.run),
-            cell(&self.cwnd),
-            cell(&self.inflight),
-            cell(&self.delivered),
-            cell(&self.rtt_ns),
-            cell(&self.srtt_ns),
-            cell(&self.link),
-            cell(&self.size),
-            cell(&self.packet_id),
-            text(&self.name),
-            cell(&self.value),
-            text(&self.reason),
-        )
-    }
 }
 
 impl Serialize for TraceRecord {
@@ -227,9 +164,6 @@ impl Serialize for TraceRecord {
         num("delivered", &self.delivered);
         num("rtt_ns", &self.rtt_ns);
         num("srtt_ns", &self.srtt_ns);
-        num("link", &self.link);
-        num("size", &self.size);
-        num("packet_id", &self.packet_id);
         if let Some(s) = &self.run {
             fields.push(("run".into(), Json::Str(s.clone())));
         }
@@ -261,9 +195,6 @@ impl Deserialize for TraceRecord {
             delivered: num("delivered"),
             rtt_ns: num("rtt_ns"),
             srtt_ns: num("srtt_ns"),
-            link: num("link"),
-            size: num("size"),
-            packet_id: num("packet_id"),
             name: txt("name"),
             value: Json::field(o, "value").and_then(Json::as_f64),
             reason: txt("reason"),
@@ -306,48 +237,29 @@ mod tests {
 
     #[test]
     fn unknown_fields_tolerated() {
-        let r: TraceRecord = serde::from_str(r#"{"t_ns":5,"kind":"x","mystery":true}"#).unwrap();
-        assert_eq!(r.kind, "x");
+        // `mystery` was never a field; `link`/`size`/`packet_id` are the
+        // retired per-packet fields older traces may still carry.
+        for text in [
+            r#"{"t_ns":5,"kind":"x","mystery":true}"#,
+            r#"{"t_ns":5,"kind":"x","link":2,"size":1500,"packet_id":77}"#,
+        ] {
+            let r: TraceRecord = serde::from_str(text).unwrap();
+            assert_eq!(r.kind, "x");
+            assert_eq!(serde::to_string(&r), r#"{"t_ns":5,"kind":"x"}"#);
+        }
     }
 
     #[test]
     fn decision_record_roundtrips_with_reason() {
-        let mut r = TraceRecord::decision(42, 7, kind::CC_SSTHRESH, "loss, fast retransmit");
-        r.value = Some(14480.0);
+        let r = TraceRecord {
+            value: Some(14480.0),
+            reason: Some("loss, fast retransmit".to_string()),
+            ..TraceRecord::event(42, 7, kind::CC_SSTHRESH)
+        };
         let s = serde::to_string(&r);
         let back: TraceRecord = serde::from_str(&s).expect("parse");
         assert_eq!(back, r);
         assert_eq!(back.reason.as_deref(), Some("loss, fast retransmit"));
-    }
-
-    #[test]
-    fn csv_quotes_fields_with_commas_and_quotes() {
-        // Regression: a comma-bearing reason used to shift every column
-        // after it; quotes used to escape nothing.
-        let mut r = TraceRecord::decision(5, 1, kind::HYSTART, "css:rtt_rise, n=8");
-        r.run = Some("a \"quoted\" run".to_string());
-        let row = r.csv_row();
-        assert_eq!(
-            row,
-            "5,hystart,1,\"a \"\"quoted\"\" run\",,,,,,,,,,,\"css:rtt_rise, n=8\""
-        );
-        // Column count is stable: quoted commas don't split.
-        let mut cols = 0usize;
-        let mut in_quotes = false;
-        for c in row.chars() {
-            match c {
-                '"' => in_quotes = !in_quotes,
-                ',' if !in_quotes => cols += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(cols + 1, TraceRecord::CSV_HEADER.split(',').count());
-    }
-
-    #[test]
-    fn plain_fields_pass_through_unquoted() {
-        let r = TraceRecord::metric(9, kind::COUNTER, "tcp.rtos", 4);
-        assert_eq!(r.csv_row(), "9,counter,,,,,,,,,,,tcp.rtos,4,");
     }
 
     #[test]

@@ -22,7 +22,8 @@ thread_local! {
 
 /// A percentile summary of one scoped time-series (queue depth, link
 /// utilization, sojourn time), reported by the cell that sampled it and
-/// folded into the run manifest next to the FCT annotations.
+/// folded into the run manifest next to the FCT annotations — which have
+/// the same shape, so `simrunner` exports this struct as `FctAnnotation`.
 ///
 /// Lives here rather than in the stats crate so the experiment layer can
 /// hand summaries to the campaign runner without a dependency cycle; it

@@ -1,8 +1,7 @@
 //! Event sinks: where [`TraceRecord`]s go.
 //!
 //! Producers take `&mut dyn EventSink`, so the export format is chosen at
-//! the edge (JSONL for machine consumption, CSV for spreadsheets, a `Vec`
-//! for tests). Sinks swallow I/O errors during `record` and surface the
+//! the edge (JSONL for machine consumption, a `Vec` for tests). Sinks swallow I/O errors during `record` and surface the
 //! first one from [`EventSink::flush`], keeping producer code infallible.
 
 use std::io::{self, Write};
@@ -46,51 +45,6 @@ impl<W: Write> EventSink for JsonlSink<W> {
         }
         let line = serde::to_string(rec);
         if let Err(e) = writeln!(self.w, "{line}") {
-            self.err = Some(e);
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        self.w.flush()
-    }
-}
-
-/// Writes records as CSV rows with a header line (see
-/// [`TraceRecord::CSV_HEADER`]).
-pub struct CsvSink<W: Write> {
-    w: W,
-    wrote_header: bool,
-    err: Option<io::Error>,
-}
-
-impl<W: Write> CsvSink<W> {
-    /// Wrap a writer; the header is emitted before the first record.
-    pub fn new(w: W) -> Self {
-        CsvSink {
-            w,
-            wrote_header: false,
-            err: None,
-        }
-    }
-}
-
-impl<W: Write> EventSink for CsvSink<W> {
-    fn record(&mut self, rec: &TraceRecord) {
-        if self.err.is_some() {
-            return;
-        }
-        let mut out = String::new();
-        if !self.wrote_header {
-            out.push_str(TraceRecord::CSV_HEADER);
-            out.push('\n');
-            self.wrote_header = true;
-        }
-        out.push_str(&rec.csv_row());
-        out.push('\n');
-        if let Err(e) = self.w.write_all(out.as_bytes()) {
             self.err = Some(e);
         }
     }
@@ -155,21 +109,6 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
-    fn csv_sink_emits_header_once() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = CsvSink::new(&mut buf);
-            sink.record(&TraceRecord::event(1, 0, kind::RTO));
-            sink.record(&TraceRecord::event(2, 0, kind::RTO));
-            sink.flush().unwrap();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some(TraceRecord::CSV_HEADER));
-        assert_eq!(lines.count(), 2);
     }
 
     #[test]
