@@ -15,6 +15,18 @@
 //! srt-rs's sender — which the transport drains ahead of new data. The
 //! packets themselves are forgotten: a retransmission mints a fresh
 //! packet number, so the detector never tracks the same number twice.
+//!
+//! An ACK costs O(k + log n) for k newly acked or lost packets out of n in
+//! flight. Two invariants make that possible:
+//!
+//! * in-flight packets ascend by packet number *and* by `sent_at` (the
+//!   sender never sends into the past), so every packet that meets a loss
+//!   threshold precedes every packet that does not: losses pop off the
+//!   front, and the front alone decides the loss-timer deadline;
+//! * an ACK frame's ranges ascend and are disjoint, so each one is a
+//!   contiguous span of the in-flight deque, found by binary search.
+//!
+//! The in-flight byte count is a maintained sum, not a scan.
 
 use crate::frames::PktRange;
 use std::collections::VecDeque;
@@ -48,7 +60,7 @@ pub struct SentPacket {
 }
 
 /// What one ACK frame did to the in-flight set.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AckOutcome {
     /// Stream bytes newly acknowledged.
     pub newly_acked: u64,
@@ -65,8 +77,10 @@ pub struct AckOutcome {
 /// detection, and the NAK loss list.
 #[derive(Debug, Clone, Default)]
 pub struct LossDetector {
-    /// Unacked transmissions, ascending packet number.
+    /// Unacked transmissions, ascending packet number and `sent_at`.
     sent: VecDeque<SentPacket>,
+    /// Stream bytes over `sent` (a duplicated range counts twice).
+    in_flight: u64,
     /// Largest packet number acknowledged so far.
     largest_acked: Option<u64>,
     /// Stream ranges awaiting retransmission: sorted, disjoint (the
@@ -80,9 +94,15 @@ impl LossDetector {
         Self::default()
     }
 
-    /// Record a departure. Packet numbers must be handed in ascending.
+    /// Record a departure. Packet numbers must be handed in ascending,
+    /// and departure times never decrease.
     pub fn on_packet_sent(&mut self, pkt: SentPacket) {
         debug_assert!(self.sent.back().is_none_or(|p| p.pkt_num < pkt.pkt_num));
+        debug_assert!(
+            self.sent.back().is_none_or(|p| p.sent_at <= pkt.sent_at),
+            "sent_at must be monotone"
+        );
+        self.in_flight += pkt.range.len();
         self.sent.push_back(pkt);
     }
 
@@ -93,7 +113,7 @@ impl LossDetector {
 
     /// Unacked stream bytes currently tracked (in-flight).
     pub fn bytes_in_flight(&self) -> u64 {
-        self.sent.iter().map(|p| p.range.len()).sum()
+        self.in_flight
     }
 
     /// Number of unacked transmissions tracked.
@@ -106,24 +126,25 @@ impl LossDetector {
         self.sent.front()
     }
 
-    /// Apply an ACK frame's packet-number ranges, then run both loss
-    /// thresholds. `delay` is the current [`loss_delay`].
+    /// Apply an ACK frame's packet-number ranges (ascending, disjoint),
+    /// then run both loss thresholds. `delay` is the current
+    /// [`loss_delay`].
     pub fn on_ack(&mut self, ranges: &[PktRange], now: Nanos, delay: Nanos) -> AckOutcome {
+        debug_assert!(
+            ranges.iter().all(|&(s, e)| s <= e) && ranges.windows(2).all(|w| w[0].1 <= w[1].0),
+            "ACK ranges must ascend and be disjoint: {ranges:?}"
+        );
         let mut out = AckOutcome::default();
-        let covered = |pkt: u64| ranges.iter().any(|&(s, e)| s <= pkt && pkt < e);
-
-        self.sent.retain(|p| {
-            if covered(p.pkt_num) {
+        for &(start, end) in ranges {
+            let lo = self.sent.partition_point(|p| p.pkt_num < start);
+            let hi = self.sent.partition_point(|p| p.pkt_num < end);
+            for p in self.sent.drain(lo..hi) {
                 out.newly_acked += p.range.len();
                 out.acked_ranges.push(p.range);
-                if out.largest_newly.is_none_or(|l| l.pkt_num < p.pkt_num) {
-                    out.largest_newly = Some(*p);
-                }
-                false
-            } else {
-                true
+                out.largest_newly = Some(p);
             }
-        });
+        }
+        self.in_flight -= out.newly_acked;
         if let Some(l) = out.largest_newly {
             self.largest_acked = Some(self.largest_acked.map_or(l.pkt_num, |a| a.max(l.pkt_num)));
         }
@@ -137,35 +158,32 @@ impl LossDetector {
         let Some(largest) = self.largest_acked else {
             return Vec::new();
         };
+        // A packet at or above `largest` cannot be judged (nothing newer
+        // is acked). Both thresholds only loosen towards older packets,
+        // so the lost packets are a prefix of `sent`.
+        let is_lost = |p: &SentPacket| {
+            p.pkt_num < largest
+                && (p.pkt_num + PACKET_THRESHOLD <= largest
+                    || p.sent_at.saturating_add(delay) <= now)
+        };
         let mut lost = Vec::new();
-        self.sent.retain(|p| {
-            if p.pkt_num >= largest {
-                return true; // nothing newer acked: cannot be judged
-            }
-            let by_count = p.pkt_num + PACKET_THRESHOLD <= largest;
-            let by_time = p.sent_at.saturating_add(delay) <= now;
-            if by_count || by_time {
-                lost.push(*p);
-                false
-            } else {
-                true
-            }
-        });
-        for p in &lost {
+        while let Some(p) = self.sent.pop_front_if(|p| is_lost(p)) {
+            self.in_flight -= p.range.len();
             self.nak(p.range);
+            lost.push(p);
         }
         lost
     }
 
     /// Earliest instant a still-unjudged packet will cross the time
-    /// threshold (the loss-timer deadline), if any.
+    /// threshold (the loss-timer deadline), if any. The oldest packet
+    /// crosses first, so only the front is consulted.
     pub fn next_loss_time(&self, delay: Nanos) -> Option<Nanos> {
         let largest = self.largest_acked?;
         self.sent
-            .iter()
+            .front()
             .filter(|p| p.pkt_num < largest)
             .map(|p| p.sent_at.saturating_add(delay))
-            .min()
     }
 
     /// Insert a stream range into the NAK list, keeping it sorted and
@@ -216,6 +234,215 @@ impl LossDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frames::MAX_ACK_RANGES;
+    use suss_core::ranges::RangeSet;
+
+    /// The straightforward detector the production one must match: every
+    /// ACK and loss check rescans the whole in-flight set. It keeps its
+    /// NAK list in an inner [`LossDetector`] whose in-flight set stays
+    /// empty.
+    #[derive(Default)]
+    struct ReferenceDetector {
+        sent: VecDeque<SentPacket>,
+        largest_acked: Option<u64>,
+        naks: LossDetector,
+    }
+
+    impl ReferenceDetector {
+        fn bytes_in_flight(&self) -> u64 {
+            self.sent.iter().map(|p| p.range.len()).sum()
+        }
+
+        fn on_ack(&mut self, ranges: &[PktRange], now: Nanos, delay: Nanos) -> AckOutcome {
+            let mut out = AckOutcome::default();
+            let covered = |pkt: u64| ranges.iter().any(|&(s, e)| s <= pkt && pkt < e);
+            self.sent.retain(|p| {
+                if covered(p.pkt_num) {
+                    out.newly_acked += p.range.len();
+                    out.acked_ranges.push(p.range);
+                    if out.largest_newly.is_none_or(|l| l.pkt_num < p.pkt_num) {
+                        out.largest_newly = Some(*p);
+                    }
+                    false
+                } else {
+                    true
+                }
+            });
+            if let Some(l) = out.largest_newly {
+                self.largest_acked =
+                    Some(self.largest_acked.map_or(l.pkt_num, |a| a.max(l.pkt_num)));
+            }
+            out.lost = self.detect_lost(now, delay);
+            out
+        }
+
+        fn detect_lost(&mut self, now: Nanos, delay: Nanos) -> Vec<SentPacket> {
+            let Some(largest) = self.largest_acked else {
+                return Vec::new();
+            };
+            let mut lost = Vec::new();
+            self.sent.retain(|p| {
+                if p.pkt_num >= largest {
+                    return true;
+                }
+                let by_count = p.pkt_num + PACKET_THRESHOLD <= largest;
+                let by_time = p.sent_at.saturating_add(delay) <= now;
+                if by_count || by_time {
+                    lost.push(*p);
+                    false
+                } else {
+                    true
+                }
+            });
+            for p in &lost {
+                self.naks.nak(p.range);
+            }
+            lost
+        }
+
+        fn next_loss_time(&self, delay: Nanos) -> Option<Nanos> {
+            let largest = self.largest_acked?;
+            self.sent
+                .iter()
+                .filter(|p| p.pkt_num < largest)
+                .map(|p| p.sent_at.saturating_add(delay))
+                .min()
+        }
+    }
+
+    /// Deterministic xorshift64 stream for the randomized tests.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    #[test]
+    fn random_operations_match_reference_detector() {
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut fast = LossDetector::new();
+        let mut slow = ReferenceDetector::default();
+        // The modelled receiver: packet numbers that arrived, and those
+        // still on the wire (delivered into `received` by the next ACK).
+        let mut received = RangeSet::new();
+        let mut wire: Vec<u64> = Vec::new();
+        let (mut now, mut next_pkt, mut stream_end) = (0u64, 0u64, 0u64);
+        let (mut acked_total, mut lost_total, mut naks_popped) = (0usize, 0usize, 0usize);
+        for op in 0..60_000u32 {
+            let r = xorshift(&mut x);
+            now += match r % 8 {
+                0..=3 => 0,
+                4..=6 => r >> 8 & 0xf_ffff,
+                _ => r >> 8 & 0xff_ffff,
+            };
+            let delay = GRANULARITY_NS + (r >> 32) % (20 * GRANULARITY_NS);
+            let mut send = |fast: &mut LossDetector,
+                            slow: &mut ReferenceDetector,
+                            range: ByteRange,
+                            is_rtx: bool,
+                            x: &mut u64| {
+                let pkt = SentPacket {
+                    pkt_num: next_pkt,
+                    range,
+                    fin: false,
+                    sent_at: now,
+                    is_rtx,
+                };
+                next_pkt += 1;
+                fast.on_packet_sent(pkt);
+                slow.sent.push_back(pkt);
+                if !xorshift(x).is_multiple_of(10) {
+                    wire.push(pkt.pkt_num); // else dropped on the wire
+                }
+            };
+            match (r >> 4) % 16 {
+                // New data (or a NAKed repair), while the window allows.
+                0..=5 if fast.packets_in_flight() < 256 => {
+                    let len = 1 + (r >> 40) % 1_500;
+                    match fast.pop_nak(len) {
+                        Some(rtx) => {
+                            assert_eq!(slow.naks.pop_nak(len), Some(rtx), "op {op}");
+                            naks_popped += 1;
+                            send(&mut fast, &mut slow, rtx, true, &mut x);
+                        }
+                        None => {
+                            assert_eq!(slow.naks.pop_nak(len), None, "op {op}");
+                            let range = ByteRange::new(stream_end, stream_end + len);
+                            stream_end = range.end;
+                            send(&mut fast, &mut slow, range, false, &mut x);
+                        }
+                    }
+                }
+                // An ACK: deliver some of the wire (possibly reordered),
+                // then report the newest ≤ MAX_ACK_RANGES ranges, or a
+                // random ascending subset of them.
+                0..=11 => {
+                    let n = (r >> 24) as usize % (wire.len() + 1);
+                    if r >> 50 & 1 == 1 && n > 1 {
+                        wire.swap(0, n - 1);
+                    }
+                    for pkt in wire.drain(..n) {
+                        received.insert(ByteRange::new(pkt, pkt + 1));
+                    }
+                    let skip = received.num_ranges().saturating_sub(MAX_ACK_RANGES);
+                    let ranges: Vec<PktRange> = received
+                        .iter()
+                        .skip(skip)
+                        .enumerate()
+                        .filter(|&(i, _)| r >> (56 + i) & 1 == 0 || r >> 60 & 1 == 0)
+                        .map(|(_, b)| (b.start, b.end))
+                        .collect();
+                    let want = slow.on_ack(&ranges, now, delay);
+                    let got = fast.on_ack(&ranges, now, delay);
+                    assert_eq!(got, want, "op {op}: ack {ranges:?}");
+                    acked_total += got.acked_ranges.len();
+                    lost_total += got.lost.len();
+                }
+                // The loss timer fires, often exactly at its deadline.
+                12 | 13 => {
+                    if r >> 50 & 1 == 1 {
+                        now = now.max(slow.next_loss_time(delay).unwrap_or(0));
+                    }
+                    let want = slow.detect_lost(now, delay);
+                    let got = fast.detect_lost(now, delay);
+                    assert_eq!(got, want, "op {op}: loss timer");
+                    lost_total += got.len();
+                }
+                // A PTO probe re-sends the oldest unacked chunk, which
+                // then sits in flight twice.
+                14 => {
+                    if let Some(p) = fast.earliest_unacked().copied() {
+                        send(&mut fast, &mut slow, p.range, true, &mut x);
+                    }
+                }
+                // The window or pacer refuses a popped repair.
+                _ => {
+                    let max = 1 + (r >> 40) % 3_000;
+                    let got = fast.pop_nak(max);
+                    assert_eq!(got, slow.naks.pop_nak(max), "op {op}");
+                    if let Some(range) = got {
+                        fast.requeue_nak(range);
+                        slow.naks.requeue_nak(range);
+                    }
+                }
+            }
+            assert_eq!(fast.bytes_in_flight(), slow.bytes_in_flight(), "op {op}");
+            assert_eq!(fast.packets_in_flight(), slow.sent.len(), "op {op}");
+            assert_eq!(fast.earliest_unacked(), slow.sent.front(), "op {op}");
+            assert_eq!(fast.largest_acked(), slow.largest_acked, "op {op}");
+            assert_eq!(fast.has_nak(), slow.naks.has_nak(), "op {op}");
+            assert_eq!(
+                fast.next_loss_time(delay),
+                slow.next_loss_time(delay),
+                "op {op}"
+            );
+        }
+        // The stream must have exercised every path, not idled in one.
+        assert!(acked_total > 10_000, "acked {acked_total}");
+        assert!(lost_total > 1_000, "lost {lost_total}");
+        assert!(naks_popped > 1_000, "repairs {naks_popped}");
+    }
 
     fn pkt(num: u64, start: u64, len: u64, at: Nanos) -> SentPacket {
         SentPacket {

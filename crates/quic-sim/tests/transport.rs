@@ -112,6 +112,67 @@ fn every_controller_completes_a_clean_flow() {
     }
 }
 
+/// Lossy downloads whose exact outcome is pinned: random loss and a
+/// shallow drop-tail queue drive the packet and time thresholds, the NAK
+/// list and PTO probes (30% loss strands tails that only a probe
+/// repairs). `(cc, loss, queue_bytes)`.
+const LOSSY_CASES: [(CcKind, f64, u64); 3] = [
+    (CcKind::Cubic, 0.01, u64::MAX),
+    (CcKind::CubicSuss, 0.0, 30_000),
+    (CcKind::Cubic, 0.3, u64::MAX),
+];
+
+/// Golden `(fct_ns, pkts_sent, pkts_retransmitted, pkts_lost, ptos)` per
+/// [`LOSSY_CASES`] entry.
+const GOLD_LOSSY: [(u128, u64, u64, u64, u64); 3] = [
+    (1_006_718_628, 694, 3, 3, 0),
+    (328_695_049, 1_134, 443, 443, 0),
+    (53_817_088_840, 1_070, 379, 327, 80),
+];
+
+fn lossy_outcomes() -> Vec<(u128, u64, u64, u64, u64)> {
+    LOSSY_CASES
+        .iter()
+        .map(|&(kind, loss, queue)| {
+            let out = run_quic(
+                kind,
+                1_000_000,
+                11,
+                PacingStrategy::PerPacket,
+                loss,
+                queue,
+                EngineConfig::default(),
+                false,
+            );
+            let fct = out.fct.expect("lossy flow must complete").as_nanos();
+            (
+                fct,
+                out.pkts_sent,
+                out.pkts_retransmitted,
+                out.pkts_lost,
+                out.ptos,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn lossy_downloads_match_golden() {
+    let got = lossy_outcomes();
+    assert_eq!(got, GOLD_LOSSY, "(fct_ns, sent, rtx, lost, ptos) per case");
+    assert!(got.iter().all(|o| o.3 > 0), "every case must lose packets");
+}
+
+/// Regeneration helper: run with `-- --ignored --nocapture` and paste.
+#[test]
+#[ignore = "golden generator, run with --ignored --nocapture"]
+fn print_lossy_golden() {
+    println!(
+        "const GOLD_LOSSY: [(u128, u64, u64, u64, u64); 3] = {:?};",
+        lossy_outcomes()
+    );
+}
+
 #[test]
 fn loss_recovery_completes_under_random_loss() {
     // 1% i.i.d. loss: the detector + NAK list must repair every hole.

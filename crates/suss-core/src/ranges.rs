@@ -64,6 +64,8 @@ impl fmt::Display for ByteRange {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeSet {
     ranges: Vec<ByteRange>,
+    /// Bytes covered by `ranges`, kept current by every mutation.
+    total: u64,
 }
 
 impl RangeSet {
@@ -77,10 +79,11 @@ impl RangeSet {
         self.ranges.len()
     }
 
-    /// Total bytes covered.
+    /// Total bytes covered, in O(1).
     #[inline]
     pub fn total_bytes(&self) -> u64 {
-        self.ranges.iter().map(ByteRange::len).sum()
+        debug_assert_eq!(self.total, self.ranges.iter().map(ByteRange::len).sum());
+        self.total
     }
 
     /// Whether the set covers no bytes.
@@ -108,20 +111,26 @@ impl RangeSet {
         if r.is_empty() {
             return 0;
         }
-        let before = self.total_bytes();
         // Find insertion window: all ranges mergeable with r.
         let lo = self.ranges.partition_point(|x| x.end < r.start);
         let hi = self.ranges.partition_point(|x| x.start <= r.end);
         if lo == hi {
             self.ranges.insert(lo, r);
-        } else {
-            let merged = ByteRange::new(
-                self.ranges[lo].start.min(r.start),
-                self.ranges[hi - 1].end.max(r.end),
-            );
-            self.ranges.splice(lo..hi, std::iter::once(merged));
+            self.total += r.len();
+            return r.len();
         }
-        self.total_bytes() - before
+        // The window and r union to exactly `merged`, so the new bytes are
+        // its length less the window's.
+        let merged = ByteRange::new(
+            self.ranges[lo].start.min(r.start),
+            self.ranges[hi - 1].end.max(r.end),
+        );
+        let absorbed: u64 = self.ranges[lo..hi].iter().map(ByteRange::len).sum();
+        self.ranges[lo] = merged;
+        self.ranges.drain(lo + 1..hi);
+        let added = merged.len() - absorbed;
+        self.total += added;
+        added
     }
 
     /// Remove a range from the set (set difference), splitting any range
@@ -131,36 +140,36 @@ impl RangeSet {
         if r.is_empty() {
             return 0;
         }
-        let before = self.total_bytes();
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        for &x in &self.ranges {
-            match x.intersect(&r) {
-                None => out.push(x),
-                Some(_) => {
-                    if x.start < r.start {
-                        out.push(ByteRange::new(x.start, r.start));
-                    }
-                    if r.end < x.end {
-                        out.push(ByteRange::new(r.end, x.end));
-                    }
-                }
-            }
+        // The window of ranges that intersect r.
+        let lo = self.ranges.partition_point(|x| x.end <= r.start);
+        let hi = self.ranges.partition_point(|x| x.start < r.end);
+        if lo >= hi {
+            return 0;
         }
-        self.ranges = out;
-        before - self.total_bytes()
+        let removed: u64 = self.ranges[lo..hi]
+            .iter()
+            .map(|x| x.intersect(&r).map_or(0, |i| i.len()))
+            .sum();
+        // Only the window's ends can straddle r; keep their outer parts.
+        let (first, last) = (self.ranges[lo], self.ranges[hi - 1]);
+        let head = (first.start < r.start).then(|| ByteRange::new(first.start, r.start));
+        let tail = (r.end < last.end).then(|| ByteRange::new(r.end, last.end));
+        self.ranges.splice(lo..hi, head.into_iter().chain(tail));
+        self.total -= removed;
+        removed
     }
 
     /// Remove every byte below `offset` (they have been consumed).
     #[inline]
     pub fn remove_below(&mut self, offset: u64) {
-        self.ranges.retain_mut(|r| {
-            if r.end <= offset {
-                false
-            } else {
-                r.start = r.start.max(offset);
-                true
-            }
-        });
+        let i = self.ranges.partition_point(|x| x.end <= offset);
+        let dropped: u64 = self.ranges.drain(..i).map(|x| x.len()).sum();
+        self.total -= dropped;
+        // Only the new first range can straddle `offset`.
+        if let Some(first) = self.ranges.first_mut().filter(|x| x.start < offset) {
+            self.total -= offset - first.start;
+            first.start = offset;
+        }
     }
 
     /// Whether `offset` is covered by the set.
@@ -362,6 +371,69 @@ mod tests {
         assert_eq!(s.covered_within(r(0, 50)), 20);
         assert_eq!(s.covered_within(r(15, 35)), 10);
         assert_eq!(s.covered_within(r(20, 30)), 0);
+    }
+
+    /// Deterministic xorshift64 stream for the randomized tests.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// The maximal runs of a bitmap, ascending: what the set must hold.
+    fn runs(bits: &[bool]) -> Vec<ByteRange> {
+        let mut out = Vec::new();
+        let mut start = None;
+        for (i, &b) in bits.iter().chain([&false]).enumerate() {
+            match (b, start) {
+                (true, None) => start = Some(i as u64),
+                (false, Some(s)) => {
+                    out.push(r(s, i as u64));
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn random_operations_match_bitmap_model() {
+        const U: u64 = 96;
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut s = RangeSet::new();
+        let mut bits = [false; U as usize];
+        for op in 0..20_000 {
+            let a = xorshift(&mut x) % (U + 1);
+            let b = a + xorshift(&mut x) % (U + 1 - a).min(24);
+            let span = a as usize..b as usize;
+            match xorshift(&mut x) % 8 {
+                0..=3 => {
+                    let new = bits[span.clone()].iter().filter(|&&b| !b).count();
+                    assert_eq!(s.insert(r(a, b)), new as u64, "op {op}: insert");
+                    bits[span.clone()].fill(true);
+                }
+                4..=6 => {
+                    let old = bits[span.clone()].iter().filter(|&&b| b).count();
+                    assert_eq!(s.remove(r(a, b)), old as u64, "op {op}: remove");
+                    bits[span.clone()].fill(false);
+                }
+                _ => {
+                    s.remove_below(a);
+                    bits[..a as usize].fill(false);
+                }
+            }
+            let want = runs(&bits);
+            assert_eq!(s.iter().collect::<Vec<_>>(), want, "op {op}");
+            let covered = bits.iter().filter(|&&b| b).count() as u64;
+            assert_eq!(s.total_bytes(), covered, "op {op}");
+            assert_eq!(s.num_ranges(), want.len());
+            assert_eq!(s.is_empty(), covered == 0);
+            let inside = bits[span].iter().filter(|&&b| b).count() as u64;
+            assert_eq!(s.covered_within(r(a, b)), inside, "op {op}");
+            assert_eq!(s.contains(a), bits.get(a as usize) == Some(&true));
+        }
     }
 
     #[test]

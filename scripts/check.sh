@@ -125,8 +125,8 @@ echo "== quic smoke (pacing-strategy matrix, quick, determinism re-run) =="
 # The quick QUIC pacing matrix (2 scenarios × 3 strategies × 2 CCs) must
 # complete every download and publish FCT-percentile annotations; the bin
 # exits non-zero if any cell fails. A cold 2-worker re-run must reproduce
-# the annotations byte for byte — the campaign-level determinism gate for
-# the second transport.
+# the annotations byte for byte and the manifest fingerprint — the
+# campaign-level determinism gate for the second transport.
 SUSS_CACHE_DIR="$SMOKE_DIR/quic-cache" \
     cargo run --release -q -p suss-bench --bin ext_quic_pacing -- --quick --no-progress \
     >"$SMOKE_DIR/quic.out"
@@ -138,6 +138,7 @@ grep -q '"status":"Ok"' results/ext_quic_pacing.manifest.json \
     || { echo "quic manifest missing Ok cells" >&2; exit 1; }
 grep -o '"annotations":\[[^]]*\]' results/ext_quic_pacing.manifest.json \
     >"$SMOKE_DIR/quic-ann.1"
+quic_fp1=$(fp results/ext_quic_pacing.manifest.json)
 SUSS_CACHE_DIR="$SMOKE_DIR/quic-cache" \
     cargo run --release -q -p suss-bench --bin ext_quic_pacing -- \
     --quick --no-progress --workers 2 --cold >/dev/null
@@ -145,6 +146,8 @@ grep -o '"annotations":\[[^]]*\]' results/ext_quic_pacing.manifest.json \
     >"$SMOKE_DIR/quic-ann.2"
 cmp -s "$SMOKE_DIR/quic-ann.1" "$SMOKE_DIR/quic-ann.2" \
     || { echo "quic annotations differ across worker counts" >&2; exit 1; }
+[ -n "$quic_fp1" ] && [ "$quic_fp1" = "$(fp results/ext_quic_pacing.manifest.json)" ] \
+    || { echo "quic manifest fingerprint differs across worker counts" >&2; exit 1; }
 
 echo "== shard smoke (distributed campaign: split, merge, resume) =="
 # The shard-equivalence contract, end to end through a real binary: the
